@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "obs/report.h"
 #include "synth/city.h"
 #include "urg/urban_region_graph.h"
+#include "util/rng.h"
 
 namespace uv::bench {
 
@@ -212,6 +214,31 @@ inline eval::RunnerOptions MakeRunnerOptions(const BenchConfig& bench) {
   options.num_runs = bench.runs;
   options.seed = bench.seed;
   return options;
+}
+
+// Destination-grouped random graph for the edge-op kernels: each of
+// num_nodes destination segments gets 4-11 in-edges from uniformly drawn
+// source nodes, so sources repeat across segments as in a real URG.
+struct RandomEdgeList {
+  std::shared_ptr<const std::vector<int>> offsets;  // num_nodes + 1.
+  std::shared_ptr<const std::vector<int>> src_ids;
+  std::shared_ptr<const std::vector<int>> dst_ids;
+};
+
+inline RandomEdgeList MakeRandomEdgeList(int num_nodes, uint64_t seed) {
+  auto offsets = std::make_shared<std::vector<int>>(1, 0);
+  auto src = std::make_shared<std::vector<int>>();
+  auto dst = std::make_shared<std::vector<int>>();
+  Rng rng(seed);
+  for (int i = 0; i < num_nodes; ++i) {
+    const int deg = 4 + rng.UniformInt(8);
+    for (int k = 0; k < deg; ++k) {
+      src->push_back(rng.UniformInt(num_nodes));
+      dst->push_back(i);
+    }
+    offsets->push_back(static_cast<int>(src->size()));
+  }
+  return {std::move(offsets), std::move(src), std::move(dst)};
 }
 
 inline void PrintBenchHeader(const char* title, const BenchConfig& bench) {

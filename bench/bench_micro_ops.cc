@@ -67,13 +67,11 @@ void BM_AttentionPass(benchmark::State& state) {
   auto a_dst = uv::ag::MakeConst(RandomTensor(32, 1, 7));
   for (auto _ : state) {
     auto h = uv::ag::MatMul(x, w);
-    auto scores = uv::ag::LeakyRelu(
-        uv::ag::Add(uv::ag::GatherRows(uv::ag::MatMul(h, a_dst), ctx.dst_ids),
-                    uv::ag::GatherRows(uv::ag::MatMul(h, a_src), ctx.src_ids)),
-        0.2f);
-    auto alpha = uv::ag::SegmentSoftmax(scores, ctx.offsets);
-    auto out = uv::ag::SegmentWeightedSum(
-        alpha, uv::ag::GatherRows(h, ctx.src_ids), ctx.offsets);
+    auto alpha = uv::ag::EdgeSoftmax(uv::ag::MatMul(h, a_dst),
+                                     uv::ag::MatMul(h, a_src), 0.2f,
+                                     ctx.offsets, ctx.src_ids);
+    auto out = uv::ag::EdgeWeightedSum(alpha, h, ctx.offsets, ctx.src_ids,
+                                       ctx.dst_ids);
     benchmark::DoNotOptimize(out->value.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -108,8 +106,8 @@ void BM_BackwardPass(benchmark::State& state) {
   for (auto _ : state) {
     auto w = uv::ag::MakeParam(RandomTensor(64, 32, 12));
     auto h = uv::ag::Relu(uv::ag::MatMul(x, w));
-    auto gathered = uv::ag::GatherRows(h, ctx.src_ids);
-    auto agg = uv::ag::SegmentWeightedSum(ctx.gcn_norm, gathered, ctx.offsets);
+    auto agg = uv::ag::EdgeWeightedSum(ctx.gcn_norm, h, ctx.offsets,
+                                       ctx.src_ids, ctx.dst_ids);
     auto loss = uv::ag::MeanAll(uv::ag::Mul(agg, agg));
     uv::ag::Backward(loss);
     benchmark::DoNotOptimize(w->grad.data());

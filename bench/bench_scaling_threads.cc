@@ -111,23 +111,21 @@ int main(int argc, char** argv) {
     });
   }
 
-  // --- CSR segment aggregation (attention softmax + weighted sum). ---
+  // --- CSR segment aggregation (fused edge softmax + weighted sum). ---
   {
     const int num_segments = 20000;
-    auto offsets = std::make_shared<std::vector<int>>();
-    offsets->push_back(0);
-    uv::Rng rng(6);
-    for (int i = 0; i < num_segments; ++i) {
-      offsets->push_back(offsets->back() + 4 + rng.UniformInt(8));
-    }
-    const Tensor scores0 = RandomTensor(offsets->back(), 1, 7);
-    const Tensor feats0 = RandomTensor(offsets->back(), 64, 8);
-    std::shared_ptr<const std::vector<int>> off = offsets;
+    const auto edges = uv::bench::MakeRandomEdgeList(num_segments, 6);
+    const Tensor s_dst0 = RandomTensor(num_segments, 1, 7);
+    const Tensor s_src0 = RandomTensor(num_segments, 1, 9);
+    const Tensor h0 = RandomTensor(num_segments, 64, 8);
     Sweep(&report, "graph_segment_fwd_bwd", thread_counts, 3, [&] {
-      auto scores = uv::ag::MakeParam(scores0);
-      auto feats = uv::ag::MakeParam(feats0);
-      auto alpha = uv::ag::SegmentSoftmax(scores, off);
-      auto y = uv::ag::SegmentWeightedSum(alpha, feats, off);
+      auto s_dst = uv::ag::MakeParam(s_dst0);
+      auto s_src = uv::ag::MakeParam(s_src0);
+      auto h = uv::ag::MakeParam(h0);
+      auto alpha = uv::ag::EdgeSoftmax(s_dst, s_src, 0.2f, edges.offsets,
+                                       edges.src_ids);
+      auto y = uv::ag::EdgeWeightedSum(alpha, h, edges.offsets, edges.src_ids,
+                                       edges.dst_ids);
       uv::ag::Backward(uv::ag::SumAll(uv::ag::Mul(y, y)));
     });
   }

@@ -78,15 +78,28 @@ VarPtr MeanAll(const VarPtr& a);
 VarPtr GatherRows(const VarPtr& x,
                   const std::shared_ptr<const std::vector<int>>& indices);
 
-// Softmax over each destination segment of per-edge scores (E x 1).
-VarPtr SegmentSoftmax(const VarPtr& scores,
-                      const std::shared_ptr<const std::vector<int>>& offsets);
+// Fused attention weights: alpha[e] = softmax over destination segment i of
+// LeakyRelu(s_dst[i] + s_src[src_ids[e]], negative_slope). s_dst is
+// (N x 1) with N = offsets->size()-1, s_src is (N_src x 1), result is
+// (E x 1). Replaces gathering both score halves per edge + Add + LeakyRelu
+// + segment softmax with bit-identical values and gradients; backward
+// reads the op's own output and keeps one E x 1 scratch column.
+VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
+                   float negative_slope,
+                   const std::shared_ptr<const std::vector<int>>& offsets,
+                   const std::shared_ptr<const std::vector<int>>& src_ids);
 
-// out[i] = sum over edges e of segment i of alpha(e) * feats[e]; alpha is
-// (E x 1), feats is (E x d), result is (N x d) with N = offsets->size()-1.
-VarPtr SegmentWeightedSum(
-    const VarPtr& alpha, const VarPtr& feats,
-    const std::shared_ptr<const std::vector<int>>& offsets);
+// Fused message aggregation: out[i] = sum over edges e of segment i of
+// alpha[e] * h_src[src_ids[e]]; alpha is (E x 1), h_src is (N_src x d),
+// result is (N x d). Source rows are read in place and the backward
+// scatters alpha[e] * grad[dst_ids[e]] straight into h_src's gradient, so
+// no per-edge E x d message tensor exists in either direction. Values and
+// gradients are bit-identical to gathering h_src per edge and summing the
+// weighted rows per segment.
+VarPtr EdgeWeightedSum(const VarPtr& alpha, const VarPtr& h_src,
+                       const std::shared_ptr<const std::vector<int>>& offsets,
+                       const std::shared_ptr<const std::vector<int>>& src_ids,
+                       const std::shared_ptr<const std::vector<int>>& dst_ids);
 
 // out[k] = sum of rows r of x with seg_ids[r] == k; rows with seg id -1 are
 // dropped. Result is (num_segments x d). Used for the binarized

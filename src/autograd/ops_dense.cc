@@ -334,26 +334,29 @@ VarPtr RowSoftmax(const VarPtr& a, float temperature) {
 
 namespace {
 
-// Shared implementation for pointwise activations: fwd maps x -> y, dfn maps
-// (x, y) -> dy/dx.
-template <typename Fwd, typename Dfn>
+// Shared implementation for pointwise activations: fwd maps x -> y, dfn
+// maps one value to dy/dx. With kFromOutput the derivative is a function of
+// the output y (Sigmoid, Tanh), which is copied for the backward pass;
+// otherwise it is a function of the input x (Relu, LeakyRelu), which the
+// input variable already holds, so nothing is copied.
+template <bool kFromOutput, typename Fwd, typename Dfn>
 VarPtr Pointwise(const VarPtr& a, Fwd fwd, Dfn dfn, const char* name) {
   Tensor out = Tensor::Uninit(a->rows(), a->cols());
   const float* in = a->value.data();
   float* o = out.data();
   for (int64_t i = 0; i < out.size(); ++i) o[i] = fwd(in[i]);
   VarPtr av = a;
-  Tensor saved = out;
+  Tensor saved;
+  if constexpr (kFromOutput) saved = out;
   return MakeOp(
       std::move(out), {a},
       [av, saved = std::move(saved), dfn](Variable* self) {
         if (!av->requires_grad) return;
         Tensor ga = Tensor::Uninit(self->grad.rows(), self->grad.cols());
-        const float* x = av->value.data();
-        const float* y = saved.data();
+        const float* v = kFromOutput ? saved.data() : av->value.data();
         const float* g = self->grad.data();
         float* gd = ga.data();
-        for (int64_t i = 0; i < ga.size(); ++i) gd[i] = g[i] * dfn(x[i], y[i]);
+        for (int64_t i = 0; i < ga.size(); ++i) gd[i] = g[i] * dfn(v[i]);
         av->AccumGrad(std::move(ga));
       },
       name);
@@ -364,31 +367,29 @@ VarPtr Pointwise(const VarPtr& a, Fwd fwd, Dfn dfn, const char* name) {
 // The scalar forward formulas live in tensor/forward_ops.h so the grad-free
 // inference engine evaluates the exact same expressions.
 VarPtr Relu(const VarPtr& a) {
-  return Pointwise(
+  return Pointwise</*kFromOutput=*/false>(
       a, [](float x) { return ReluScalar(x); },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }, "relu");
+      [](float x) { return x > 0.0f ? 1.0f : 0.0f; }, "relu");
 }
 
 VarPtr LeakyRelu(const VarPtr& a, float negative_slope) {
-  return Pointwise(
+  return Pointwise</*kFromOutput=*/false>(
       a,
       [negative_slope](float x) { return LeakyReluScalar(x, negative_slope); },
-      [negative_slope](float x, float) {
-        return x > 0.0f ? 1.0f : negative_slope;
-      },
+      [negative_slope](float x) { return x > 0.0f ? 1.0f : negative_slope; },
       "leaky_relu");
 }
 
 VarPtr Sigmoid(const VarPtr& a) {
-  return Pointwise(
+  return Pointwise</*kFromOutput=*/true>(
       a, [](float x) { return SigmoidScalar(x); },
-      [](float, float y) { return y * (1.0f - y); }, "sigmoid");
+      [](float y) { return y * (1.0f - y); }, "sigmoid");
 }
 
 VarPtr Tanh(const VarPtr& a) {
-  return Pointwise(
+  return Pointwise</*kFromOutput=*/true>(
       a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; }, "tanh");
+      [](float y) { return 1.0f - y * y; }, "tanh");
 }
 
 VarPtr SumAll(const VarPtr& a) {

@@ -102,27 +102,42 @@ VarPtr GatherRows(const VarPtr& x,
       "gather_rows");
 }
 
-VarPtr SegmentSoftmax(const VarPtr& scores,
-                      const std::shared_ptr<const std::vector<int>>& offsets) {
-  const int num_segments = static_cast<int>(offsets->size()) - 1;
+VarPtr EdgeSoftmax(const VarPtr& s_dst, const VarPtr& s_src,
+                   float negative_slope,
+                   const std::shared_ptr<const std::vector<int>>& offsets,
+                   const std::shared_ptr<const std::vector<int>>& src_ids) {
   Tensor out;
-  obs::SpanGuard fwd_span("segment_softmax", obs::SpanLevel::kFine,
-                          "segments", num_segments);
-  uv::SegmentSoftmaxInto(scores->value, *offsets, &out);
-
-  VarPtr sv = scores;
-  Tensor soft = out;
+  {
+    obs::SpanGuard span("edge_softmax", obs::SpanLevel::kFine, "edges",
+                        static_cast<int64_t>(src_ids->size()));
+    uv::EdgeSoftmaxInto(s_dst->value, s_src->value, negative_slope, *offsets,
+                        *src_ids, &out);
+  }
+  VarPtr dv = s_dst, sv = s_src;
+  std::shared_ptr<const DestIndex> src_index =
+      sv->requires_grad ? CachedDestIndex(src_ids, sv->rows()) : nullptr;
   return MakeOp(
-      std::move(out), {scores},
-      [sv, offsets, soft = std::move(soft)](Variable* self) {
-        if (!sv->requires_grad) return;
+      std::move(out), {s_dst, s_src},
+      [dv, sv, offsets, src_ids, src_index, negative_slope](Variable* self) {
+        obs::SpanGuard span("edge_softmax_bwd", obs::SpanLevel::kFine,
+                            "edges", self->rows());
         const auto& off = *offsets;
+        const int* src = src_ids->data();
         const int num_segments = static_cast<int>(off.size()) - 1;
-        // Same tiling argument as the forward: every element is written.
-        Tensor gs = Tensor::Uninit(soft.rows(), 1);
-        const float* p = soft.data();
+        // Per-edge score gradient: softmax backward, then the LeakyRelu
+        // derivative of the recomputed pre-activation score. The op's own
+        // output is the softmax, so nothing was copied for this pass. Both
+        // score halves take their edges in ascending order into their
+        // (zero-initialized) gradients, like the per-edge gathers they
+        // replace: s_dst here per segment, s_src below per source row. The
+        // two passes never overlap, so s_dst and s_src may be one variable.
+        Tensor gx = Tensor::Uninit(self->rows(), 1);
+        const float* p = self->value.data();
         const float* g = self->grad.data();
-        float* gd = gs.data();
+        const float* sd = dv->value.data();
+        const float* ss = sv->value.data();
+        float* gxd = gx.data();
+        float* gd = dv->requires_grad ? dv->EnsureGrad().data() : nullptr;
         ParallelFor(0, num_segments, kSegmentGrain,
                     [&](int64_t s0, int64_t s1) {
                       for (int64_t i = s0; i < s1; ++i) {
@@ -130,59 +145,94 @@ VarPtr SegmentSoftmax(const VarPtr& scores,
                         float dot = 0.0f;
                         for (int e = lo; e < hi; ++e) dot += p[e] * g[e];
                         for (int e = lo; e < hi; ++e) {
-                          gd[e] = p[e] * (g[e] - dot);
+                          const float gs = p[e] * (g[e] - dot);
+                          const float x = sd[i] + ss[src[e]];
+                          gxd[e] = gs * (x > 0.0f ? 1.0f : negative_slope);
+                          if (gd != nullptr) gd[i] += gxd[e];
                         }
                       }
                     });
-        sv->AccumGrad(std::move(gs));
+        if (sv->requires_grad) {
+          float* gsrc = sv->EnsureGrad().data();
+          const DestIndex& index = *src_index;
+          ParallelFor(0, sv->rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              for (int s = index.offsets[r]; s < index.offsets[r + 1]; ++s) {
+                gsrc[r] += gxd[index.sources[s]];
+              }
+            }
+          });
+        }
       },
-      "segment_softmax");
+      "edge_softmax");
 }
 
-VarPtr SegmentWeightedSum(
-    const VarPtr& alpha, const VarPtr& feats,
-    const std::shared_ptr<const std::vector<int>>& offsets) {
-  const int num_segments = static_cast<int>(offsets->size()) - 1;
-  const int d = feats->cols();
+VarPtr EdgeWeightedSum(const VarPtr& alpha, const VarPtr& h_src,
+                       const std::shared_ptr<const std::vector<int>>& offsets,
+                       const std::shared_ptr<const std::vector<int>>& src_ids,
+                       const std::shared_ptr<const std::vector<int>>& dst_ids) {
+  UV_CHECK_EQ(dst_ids->size(), src_ids->size());
   Tensor out;
-  obs::SpanGuard fwd_span("segment_weighted_sum", obs::SpanLevel::kFine,
-                          "segments", num_segments);
-  uv::SegmentWeightedSumInto(alpha->value, feats->value, *offsets, &out);
-
-  VarPtr av = alpha, fv = feats;
+  {
+    obs::SpanGuard span("edge_weighted_sum", obs::SpanLevel::kFine, "edges",
+                        static_cast<int64_t>(src_ids->size()));
+    uv::EdgeWeightedSumInto(alpha->value, h_src->value, *offsets, *src_ids,
+                            &out);
+  }
+  VarPtr av = alpha, hv = h_src;
+  std::shared_ptr<const DestIndex> src_index =
+      hv->requires_grad ? CachedDestIndex(src_ids, hv->rows()) : nullptr;
   return MakeOp(
-      std::move(out), {alpha, feats},
-      [av, fv, offsets, d](Variable* self) {
-        const auto& off = *offsets;
-        const int num_segments = static_cast<int>(off.size()) - 1;
-        const bool need_a = av->requires_grad;
-        const bool need_f = fv->requires_grad;
-        Tensor* ga = need_a ? &av->EnsureGrad() : nullptr;
-        Tensor* gf = need_f ? &fv->EnsureGrad() : nullptr;
-        // Each edge e belongs to exactly one segment, so ga rows and gf
-        // rows touched by different segments are disjoint.
-        ParallelFor(0, num_segments, kSegmentGrain,
-                    [&](int64_t s0, int64_t s1) {
-                      for (int64_t i = s0; i < s1; ++i) {
-                        const float* gout =
-                            self->grad.row(static_cast<int>(i));
-                        for (int e = off[i]; e < off[i + 1]; ++e) {
-                          const float* f = fv->value.row(e);
-                          if (need_a) {
+      std::move(out), {alpha, h_src},
+      [av, hv, offsets, src_ids, dst_ids, src_index](Variable* self) {
+        obs::SpanGuard span("edge_weighted_sum_bwd", obs::SpanLevel::kFine,
+                            "edges", av->rows());
+        const int d = hv->cols();
+        const int* src = src_ids->data();
+        const float* a = av->value.data();
+        const Tensor& gout = self->grad;
+        if (av->requires_grad) {
+          // d_alpha[e] = grad[dst] . h_src[src[e]]; each edge belongs to
+          // exactly one segment, so segments write disjoint rows.
+          const auto& off = *offsets;
+          float* ga = av->EnsureGrad().data();
+          const int num_segments = static_cast<int>(off.size()) - 1;
+          ParallelFor(0, num_segments, kSegmentGrain,
+                      [&](int64_t s0, int64_t s1) {
+                        for (int64_t i = s0; i < s1; ++i) {
+                          const float* g = gout.row(static_cast<int>(i));
+                          for (int e = off[i]; e < off[i + 1]; ++e) {
+                            const float* f = hv->value.row(src[e]);
                             float acc = 0.0f;
-                            for (int c = 0; c < d; ++c) acc += gout[c] * f[c];
-                            ga->at(e, 0) += acc;
-                          }
-                          if (need_f) {
-                            const float w = av->value.at(e, 0);
-                            float* gfe = gf->row(e);
-                            for (int c = 0; c < d; ++c) gfe[c] += w * gout[c];
+                            for (int c = 0; c < d; ++c) acc += g[c] * f[c];
+                            ga[e] += acc;
                           }
                         }
-                      }
-                    });
+                      });
+        }
+        if (hv->requires_grad) {
+          // Scatter alpha[e] * grad[dst[e]] into source rows, partitioned
+          // by source through the inverse index (ascending edges per row).
+          // Each term is formed as 0.0f + w * g, exactly the value the
+          // zero-initialized per-edge message gradient held before it was
+          // scattered, so the sums stay bit-identical to that path.
+          Tensor& gh = hv->EnsureGrad();
+          const int* dst = dst_ids->data();
+          const DestIndex& index = *src_index;
+          ParallelFor(0, gh.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              float* row = gh.row(static_cast<int>(r));
+              for (int s = index.offsets[r]; s < index.offsets[r + 1]; ++s) {
+                const int e = index.sources[s];
+                const float w = a[e];
+                const float* g = gout.row(dst[e]);
+                for (int c = 0; c < d; ++c) row[c] += 0.0f + w * g[c];
+              }
+            }
+          });
+        }
       },
-      "segment_weighted_sum");
+      "edge_weighted_sum");
 }
 
 VarPtr SegmentSumByIds(const VarPtr& x,

@@ -44,14 +44,12 @@ ag::VarPtr AttentionHead::Forward(const ag::VarPtr& x_dst,
   ag::VarPtr s_dst = ag::MatMul(h_dst, a_dst_);  // (N x 1)
   ag::VarPtr s_src = ag::MatMul(h_src, a_src_);  // (N x 1)
 
-  // Per-edge scores: leakyrelu(s_dst[dst(e)] + s_src[src(e)]).
-  ag::VarPtr e_scores = ag::LeakyRelu(
-      ag::Add(ag::GatherRows(s_dst, ctx.dst_ids),
-              ag::GatherRows(s_src, ctx.src_ids)),
-      kAttentionSlope);
-  ag::VarPtr alpha = ag::SegmentSoftmax(e_scores, ctx.offsets);
-  ag::VarPtr messages = ag::GatherRows(h_src, ctx.src_ids);
-  return ag::SegmentWeightedSum(alpha, messages, ctx.offsets);
+  // Per-edge weights softmax(leakyrelu(s_dst[dst(e)] + s_src[src(e)])) and
+  // the weighted sum of source rows, without per-edge copies.
+  ag::VarPtr alpha = ag::EdgeSoftmax(s_dst, s_src, kAttentionSlope,
+                                     ctx.offsets, ctx.src_ids);
+  return ag::EdgeWeightedSum(alpha, h_src, ctx.offsets, ctx.src_ids,
+                             ctx.dst_ids);
 }
 
 Tensor AttentionHead::ForwardRaw(const Tensor& x_dst, const Tensor& x_src,
@@ -66,20 +64,11 @@ Tensor AttentionHead::ForwardRaw(const Tensor& x_dst, const Tensor& x_src,
   const Tensor s_dst = MatMul(h_dst, a_dst_->value);  // (N x 1)
   const Tensor s_src = MatMul(h_src, a_src_->value);  // (N x 1)
 
-  const std::vector<int>& dst_ids = *ctx.dst_ids;
-  const std::vector<int>& src_ids = *ctx.src_ids;
-  Tensor e_scores = Tensor::Uninit(static_cast<int>(dst_ids.size()), 1);
-  const float* sd = s_dst.data();
-  const float* ss = s_src.data();
-  float* e = e_scores.data();
-  for (size_t i = 0; i < dst_ids.size(); ++i) {
-    e[i] = LeakyReluScalar(sd[dst_ids[i]] + ss[src_ids[i]], kAttentionSlope);
-  }
   Tensor alpha;
-  SegmentSoftmaxInto(e_scores, *ctx.offsets, &alpha);
-  const Tensor messages = GatherRows(h_src, src_ids);
+  EdgeSoftmaxInto(s_dst, s_src, kAttentionSlope, *ctx.offsets, *ctx.src_ids,
+                  &alpha);
   Tensor out;
-  SegmentWeightedSumInto(alpha, messages, *ctx.offsets, &out);
+  EdgeWeightedSumInto(alpha, h_src, *ctx.offsets, *ctx.src_ids, &out);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "nn/gcn.h"
 
 #include "tensor/forward_ops.h"
-#include "tensor/tensor_ops.h"
 
 namespace uv::nn {
 
@@ -9,15 +8,15 @@ ag::VarPtr GcnLayer::Forward(const ag::VarPtr& x,
                              const GraphContext& ctx) const {
   // Transform first (cheaper when out_dim <= in_dim), then aggregate.
   ag::VarPtr h = lin_.Forward(x);
-  ag::VarPtr gathered = ag::GatherRows(h, ctx.src_ids);
-  return ag::SegmentWeightedSum(ctx.gcn_norm, gathered, ctx.offsets);
+  return ag::EdgeWeightedSum(ctx.gcn_norm, h, ctx.offsets, ctx.src_ids,
+                             ctx.dst_ids);
 }
 
 Tensor GcnLayer::ForwardRaw(const Tensor& x, const GraphContext& ctx) const {
   const Tensor h = lin_.ForwardRaw(x);
-  const Tensor gathered = GatherRows(h, *ctx.src_ids);
   Tensor out;
-  SegmentWeightedSumInto(ctx.gcn_norm->value, gathered, *ctx.offsets, &out);
+  EdgeWeightedSumInto(ctx.gcn_norm->value, h, *ctx.offsets, *ctx.src_ids,
+                      &out);
   return out;
 }
 

@@ -329,7 +329,7 @@ BenchmarkEntry& Report::RunTimed(const std::string& name, int warmup,
   // Entries live in a deque, so this reference survives any appends fn()
   // might trigger through nested Bench() calls.
   BenchmarkEntry& entry = Bench(name);
-  entry.warmup_ = warmup;
+  entry.warmup_ += warmup;
 
   for (int w = 0; w < warmup; ++w) fn();
 

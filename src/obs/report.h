@@ -191,6 +191,9 @@ class Report {
   // repeat so the mem.* / threadpool.* counter deltas attached to each
   // repeat are isolated rather than cumulative; after the final repeat
   // the matching registry histograms (threadpool.*) contribute p50/p95.
+  // Calling it again with the same name appends to the entry, which is how
+  // interleaved A/B pairs are timed: repeats accumulate, the entry's warmup
+  // counts every untimed run, and histograms describe the latest repeat.
   BenchmarkEntry& RunTimed(const std::string& name,
                            const std::function<void()>& fn);
   BenchmarkEntry& RunTimed(const std::string& name, int warmup, int repeats,

@@ -24,27 +24,39 @@ void SigmoidInPlace(Tensor* t) {
   for (int64_t i = 0; i < t->size(); ++i) d[i] = SigmoidScalar(d[i]);
 }
 
-void SegmentSoftmaxInto(const Tensor& scores, const std::vector<int>& offsets,
-                        Tensor* out) {
-  UV_CHECK_EQ(scores.cols(), 1);
+void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
+                     float negative_slope, const std::vector<int>& offsets,
+                     const std::vector<int>& src_ids, Tensor* out) {
+  UV_CHECK_EQ(s_dst.cols(), 1);
+  UV_CHECK_EQ(s_src.cols(), 1);
   const int num_segments = static_cast<int>(offsets.size()) - 1;
-  // Segments must tile [0, rows) exactly: that guarantees every element of
+  UV_CHECK_EQ(s_dst.rows(), num_segments);
+  // Segments must tile [0, E) exactly: that guarantees every element of
   // the uninitialized output below is written by exactly one segment.
   UV_CHECK_EQ(offsets.front(), 0);
-  UV_CHECK_EQ(offsets.back(), scores.rows());
-  out->ResizeUninit(scores.rows(), 1);
-  const float* s = scores.data();
+  UV_CHECK_EQ(static_cast<size_t>(offsets.back()), src_ids.size());
+  out->ResizeUninit(offsets.back(), 1);
+  const float* sd = s_dst.data();
+  const float* ss = s_src.data();
+  const int* src = src_ids.data();
+  const unsigned num_sources = static_cast<unsigned>(s_src.rows());
   float* o = out->data();
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
     for (int64_t i = s0; i < s1; ++i) {
       const int lo = off[i], hi = off[i + 1];
       if (lo == hi) continue;
+      // The output doubles as the score buffer: scores first, then their
+      // exponentials, then the normalized weights.
+      for (int e = lo; e < hi; ++e) {
+        UV_CHECK_LT(static_cast<unsigned>(src[e]), num_sources);
+        o[e] = LeakyReluScalar(sd[i] + ss[src[e]], negative_slope);
+      }
       float mx = -1e30f;
-      for (int e = lo; e < hi; ++e) mx = std::max(mx, s[e]);
+      for (int e = lo; e < hi; ++e) mx = std::max(mx, o[e]);
       double total = 0.0;
       for (int e = lo; e < hi; ++e) {
-        o[e] = std::exp(s[e] - mx);
+        o[e] = std::exp(o[e] - mx);
         total += o[e];
       }
       const float inv = total > 0.0 ? static_cast<float>(1.0 / total) : 0.0f;
@@ -53,23 +65,27 @@ void SegmentSoftmaxInto(const Tensor& scores, const std::vector<int>& offsets,
   });
 }
 
-void SegmentWeightedSumInto(const Tensor& alpha, const Tensor& feats,
-                            const std::vector<int>& offsets, Tensor* out) {
+void EdgeWeightedSumInto(const Tensor& alpha, const Tensor& h_src,
+                         const std::vector<int>& offsets,
+                         const std::vector<int>& src_ids, Tensor* out) {
   UV_CHECK_EQ(alpha.cols(), 1);
-  UV_CHECK_EQ(alpha.rows(), feats.rows());
+  UV_CHECK_EQ(static_cast<size_t>(alpha.rows()), src_ids.size());
   const int num_segments = static_cast<int>(offsets.size()) - 1;
-  UV_CHECK_EQ(offsets.back(), feats.rows());
-  const int d = feats.cols();
+  UV_CHECK_EQ(offsets.back(), alpha.rows());
+  const int d = h_src.cols();
   out->ResizeUninit(num_segments, d);
   out->Zero();
   const float* a = alpha.data();
+  const int* src = src_ids.data();
+  const unsigned num_sources = static_cast<unsigned>(h_src.rows());
   const auto& off = offsets;
   ParallelFor(0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
     for (int64_t i = s0; i < s1; ++i) {
       float* dst = out->row(static_cast<int>(i));
       for (int e = off[i]; e < off[i + 1]; ++e) {
+        UV_CHECK_LT(static_cast<unsigned>(src[e]), num_sources);
         const float w = a[e];
-        const float* f = feats.row(e);
+        const float* f = h_src.row(src[e]);
         for (int c = 0; c < d; ++c) dst[c] += w * f[c];
       }
     }

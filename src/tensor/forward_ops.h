@@ -35,17 +35,27 @@ void ReluInPlace(Tensor* t);
 void LeakyReluInPlace(float negative_slope, Tensor* t);
 void SigmoidInPlace(Tensor* t);
 
-// Per-segment softmax over a column of scores (E x 1). `offsets` is a CSR
-// row pointer of size num_segments + 1 tiling [0, E) exactly; empty
-// segments are skipped. Resizes `out` to E x 1.
-void SegmentSoftmaxInto(const Tensor& scores, const std::vector<int>& offsets,
-                        Tensor* out);
+// Fused edge softmax (the GAT/MAGA attention weights). Edges are grouped by
+// destination: `offsets` (num_segments + 1) tiles [0, E) and edge e of
+// segment i comes from source src_ids[e]. For every edge the score is
+//   LeakyRelu(s_dst[i] + s_src[src_ids[e]], negative_slope)
+// and `out` (resized to E x 1) holds its softmax over segment i. These are
+// the scalar formulas, in the order, of gathering both score halves per
+// edge, adding, activating and running a per-segment softmax, without the
+// per-edge intermediates. s_dst is (num_segments x 1), s_src is
+// (num_sources x 1); empty segments are skipped.
+void EdgeSoftmaxInto(const Tensor& s_dst, const Tensor& s_src,
+                     float negative_slope, const std::vector<int>& offsets,
+                     const std::vector<int>& src_ids, Tensor* out);
 
-// out[i] = sum over edges e of segment i of alpha[e] * feats.row(e).
-// Resizes `out` to num_segments x feats.cols() and zero-fills it first, so
-// the accumulation order matches the zero-initialized serial walk.
-void SegmentWeightedSumInto(const Tensor& alpha, const Tensor& feats,
-                            const std::vector<int>& offsets, Tensor* out);
+// out[i] = sum over edges e of segment i of alpha[e] * h_src.row(src_ids[e]).
+// Source rows are read in place, so no per-edge (E x d) message copy is
+// ever built. Resizes `out` to num_segments x h_src.cols() and zero-fills
+// it first, so the accumulation order matches the zero-initialized serial
+// walk over each segment's edges.
+void EdgeWeightedSumInto(const Tensor& alpha, const Tensor& h_src,
+                         const std::vector<int>& offsets,
+                         const std::vector<int>& src_ids, Tensor* out);
 
 // Inverse of a scatter map: for each destination row, the ascending list
 // of source rows that write to it. Lets scatter-sums run partitioned by

@@ -114,37 +114,54 @@ TEST(ParallelDeterminismTest, ConvForwardBackward) {
   ExpectBitIdentical(serial.gb, parallel.gb);
 }
 
-struct GraphResult {
-  Tensor y, galpha, gfeats;
+struct EdgeResult {
+  Tensor y, g_dst, g_src, g_h;
 };
 
 TEST(ParallelDeterminismTest, SegmentOpsForwardBackward) {
-  // A CSR-style segment layout with uneven segment sizes, including empty.
+  // A CSR-style segment layout with uneven segment sizes, including empty,
+  // and repeated random sources, through the fused edge softmax + weighted
+  // sum (forward and every input gradient).
   const int num_segments = 300;
   auto offsets = std::make_shared<std::vector<int>>();
+  auto src = std::make_shared<std::vector<int>>();
+  auto dst = std::make_shared<std::vector<int>>();
   offsets->push_back(0);
   Rng rng(41);
   for (int i = 0; i < num_segments; ++i) {
-    offsets->push_back(offsets->back() + rng.UniformInt(7));
+    const int deg = rng.UniformInt(7);
+    for (int k = 0; k < deg; ++k) {
+      src->push_back(rng.UniformInt(num_segments));
+      dst->push_back(i);
+    }
+    offsets->push_back(static_cast<int>(src->size()));
   }
-  const int num_edges = offsets->back();
-  const Tensor scores0 = RandomTensor(num_edges, 1, 42);
-  const Tensor feats0 = RandomTensor(num_edges, 24, 43);
+  const Tensor s_dst0 = RandomTensor(num_segments, 1, 42);
+  const Tensor s_src0 = RandomTensor(num_segments, 1, 44);
+  const Tensor h0 = RandomTensor(num_segments, 24, 43);
   std::shared_ptr<const std::vector<int>> off = offsets;
-  std::function<GraphResult()> run = [&] {
-    auto scores = ag::MakeParam(scores0);
-    auto feats = ag::MakeParam(feats0);
-    auto alpha = ag::SegmentSoftmax(scores, off);
-    auto y = ag::SegmentWeightedSum(alpha, feats, off);
+  std::shared_ptr<const std::vector<int>> src_ids = src;
+  std::shared_ptr<const std::vector<int>> dst_ids = dst;
+  std::function<EdgeResult()> run = [&] {
+    auto s_dst = ag::MakeParam(s_dst0);
+    auto s_src = ag::MakeParam(s_src0);
+    auto h = ag::MakeParam(h0);
+    auto alpha = ag::EdgeSoftmax(s_dst, s_src, 0.2f, off, src_ids);
+    auto y = ag::EdgeWeightedSum(alpha, h, off, src_ids, dst_ids);
     ag::Backward(ag::SumAll(ag::Mul(y, y)));
-    return GraphResult{y->value, scores->grad, feats->grad};
+    return EdgeResult{y->value, s_dst->grad, s_src->grad, h->grad};
   };
-  const GraphResult serial = WithThreads(1, run);
-  const GraphResult parallel = WithThreads(4, run);
+  const EdgeResult serial = WithThreads(1, run);
+  const EdgeResult parallel = WithThreads(4, run);
   ExpectBitIdentical(serial.y, parallel.y);
-  ExpectBitIdentical(serial.galpha, parallel.galpha);
-  ExpectBitIdentical(serial.gfeats, parallel.gfeats);
+  ExpectBitIdentical(serial.g_dst, parallel.g_dst);
+  ExpectBitIdentical(serial.g_src, parallel.g_src);
+  ExpectBitIdentical(serial.g_h, parallel.g_h);
 }
+
+struct GraphResult {
+  Tensor y, galpha, gfeats;
+};
 
 TEST(ParallelDeterminismTest, ScatterOpsForwardBackward) {
   const int num_rows = 900;

@@ -197,6 +197,23 @@ TEST(ReportTest, RunTimedCapturesRelevantHistograms) {
   Registry::Global().ResetAll();
 }
 
+TEST(ReportTest, RunTimedAppendsAcrossCalls) {
+  // Interleaved A/B timing calls RunTimed once per repeat per leg.
+  Report report("unit");
+  int a_calls = 0, b_calls = 0;
+  for (int p = 0; p < 3; ++p) {
+    const int warmup = p == 0 ? 1 : 0;
+    report.RunTimed("a", warmup, 1, [&] { ++a_calls; });
+    report.RunTimed("b", warmup, 1, [&] { ++b_calls; });
+  }
+  EXPECT_EQ(a_calls, 4);  // 1 warmup + 3 timed.
+  EXPECT_EQ(b_calls, 4);
+  EXPECT_EQ(report.Bench("a").repeats().size(), 3u);
+  EXPECT_EQ(report.Bench("a").warmup(), 1);
+  EXPECT_EQ(report.Bench("b").repeats().size(), 3u);
+  EXPECT_EQ(report.Bench("b").warmup(), 1);
+}
+
 TEST(ReportTest, IgnoresCountersOutsideLedgerFamilies) {
   Registry::Global().ResetAll();
   Counter& other = Registry::Global().GetCounter("unrelated.events");

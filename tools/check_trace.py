@@ -328,17 +328,25 @@ SERVE_KINDS = {
         "clients": "info",
         "request_size": "info",
     },
-    # Same load with a QualityMonitor attached to the engine;
-    # throughput_vs_plain is the monitored/unmonitored ratio the perf job
-    # gates on (the sketches must stay close to free).
+    # Same load with a QualityMonitor attached to the engine, timed as
+    # interleaved plain/monitored pairs; throughput_vs_plain is the median
+    # per-pair ratio and throughput_vs_plain_mad its dispersion. Ledger
+    # validation gates it against MONITORED_THROUGHPUT_FLOOR.
     "engine_monitored": {
         "regions_per_sec": "higher",
         "throughput_vs_plain": "higher",
+        "throughput_vs_plain_mad": "info",
+        "pairs": "info",
         "num_regions": "info",
         "clients": "info",
         "request_size": "info",
     },
 }
+# Monitored serving must keep >= 0.9x of plain throughput. The per-pair
+# ratio is noisy on a shared host, so a ledger fails only when the median
+# ratio sits below the floor by more than MONITORED_TOLERANCE_MADS MADs.
+MONITORED_THROUGHPUT_FLOOR = 0.9
+MONITORED_TOLERANCE_MADS = 3.0
 SERVE_ENGINE_HISTOGRAMS = (
     "serve.queue_wait_us",
     "serve.batch_size",
@@ -365,6 +373,19 @@ def check_serve_entry(path, name, bench):
             fail(f"{path}: serve benchmark {name!r} metric {mname!r} "
                  f"has direction {metric.get('direction')!r}, "
                  f"expected {direction!r}")
+    if kind == "engine_monitored":
+        ratio = metrics["throughput_vs_plain"].get("value")
+        mad = metrics["throughput_vs_plain_mad"].get("value")
+        if not isinstance(ratio, (int, float)) or not isinstance(
+            mad, (int, float)
+        ):
+            fail(f"{path}: serve benchmark {name!r} throughput_vs_plain "
+                 f"or its MAD is not a number")
+        if ratio + MONITORED_TOLERANCE_MADS * mad < MONITORED_THROUGHPUT_FLOOR:
+            fail(f"{path}: serve benchmark {name!r} throughput_vs_plain "
+                 f"{ratio:.3f} (MAD {mad:.3f}) is below the "
+                 f"{MONITORED_THROUGHPUT_FLOOR}x budget by more than "
+                 f"{MONITORED_TOLERANCE_MADS:g} MADs")
     required_histograms = ()
     if kind == "engine":
         required_histograms = SERVE_ENGINE_HISTOGRAMS
