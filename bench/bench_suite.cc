@@ -24,6 +24,7 @@
 #include "core/cmsf_detector.h"
 #include "core/cmsf_model.h"
 #include "eval/splits.h"
+#include "features/image_encoder.h"
 #include "graph/csr_graph.h"
 #include "graph/grid.h"
 #include "infer/engine.h"
@@ -54,7 +55,7 @@ uv::nn::GraphContext GridContext(int side) {
 
 // The micro suite: one entry per hot kernel family. Sizes are chosen so a
 // repeat lands in the 10-100 ms band on one core — long enough to swamp
-// timer noise, short enough that CI's warmup + 5 repeats x 9 benchmarks
+// timer noise, short enough that CI's warmup + 5 repeats x 12 benchmarks
 // stays under a minute.
 void RunMicroSuite(uv::obs::Report* report) {
   {
@@ -140,6 +141,20 @@ void RunMicroSuite(uv::obs::Report* report) {
       auto b = uv::ag::MakeParam(b0);
       auto y = uv::ag::Conv2d(x, w, b, spec);
       uv::ag::Backward(uv::ag::SumAll(uv::ag::Mul(y, y)));
+    });
+  }
+  {
+    // Frozen image encoder (most of the cost of every lazy-store miss):
+    // 256 seeded 32x32 tiles through the grad-free forward.
+    const uv::features::ConvEncoder encoder(
+        uv::features::ConvEncoder::Options{});
+    uv::Rng rng(25);
+    uv::Tensor tiles(256, 3 * 32 * 32);
+    for (int64_t i = 0; i < tiles.size(); ++i) {
+      tiles[i] = static_cast<float>(rng.Uniform());
+    }
+    report->RunTimed("conv_encode_b256", [&] {
+      uv::Tensor f = encoder.Encode(tiles);
     });
   }
   {

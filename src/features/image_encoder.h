@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "autograd/ops.h"
 #include "tensor/tensor.h"
 
 namespace uv::features {
@@ -17,27 +16,45 @@ namespace uv::features {
 // fixed random projection of the flattened activation to `out_dim`.
 // The paper's 4096-d output is reachable via out_dim=4096; the default 256
 // keeps laptop-scale runtime (see DESIGN.md section 1).
+//
+// Encode is a grad-free forward (no autograd tape, no per-op tensors): per
+// fixed-size image chunk, each layer is one im2col, one GEMM and one fused
+// bias/ReLU/max-pool pass. It is bit-identical to the ag::Conv2d/Relu/
+// MaxPool2d/MatMul composition of the same weights, and every output row
+// depends only on its own image, so chunking never changes a value.
 class ConvEncoder {
  public:
   struct Options {
     int image_size = 32;
     int out_dim = 256;
     uint64_t seed = 7;   // Plays the role of "ImageNet pretraining".
-    int batch_size = 256;  // Images encoded per forward chunk.
   };
+
+  // One conv3x3 (stride 1, pad 1) layer; in_size is its input side length.
+  struct ConvLayer {
+    int in_channels = 0;
+    int out_channels = 0;
+    int in_size = 0;
+    Tensor w;  // out_channels x (in_channels * 9), patch order (c, ky, kx).
+    Tensor b;  // 1 x out_channels.
+  };
+  static constexpr int kNumLayers = 3;
 
   explicit ConvEncoder(const Options& options);
 
-  // Encodes (N x 3*S*S) raw tiles into (N x out_dim) features.
+  // Encodes (N x 3*S*S) raw CHW tiles into (N x out_dim) features.
   Tensor Encode(const Tensor& images) const;
 
   int out_dim() const { return options_.out_dim; }
 
+  // The frozen weights, exposed so tests can rebuild the forward from them.
+  const ConvLayer& layer(int i) const { return layers_[i]; }
+  const Tensor& projection() const { return proj_; }
+
  private:
   Options options_;
-  Tensor w1_, b1_, w2_, b2_, w3_, b3_;
+  ConvLayer layers_[kNumLayers];
   Tensor proj_;
-  ag::Conv2dSpec spec1_, spec2_, spec3_;
   int flat_dim_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -113,12 +114,15 @@ void LazyFeatureStore::EncodeRegions(const std::vector<int>& ids,
   tiles.ResizeUninit(count, 3 * s * s);
   auto& tiles_rendered =
       obs::Registry::Global().GetCounter("synth.tiles_rendered");
-  ParallelFor(0, count, 16, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      city_->RenderRegionTile(ids[i], tiles.row(i));
-    }
-    tiles_rendered.Inc(static_cast<uint64_t>(end - begin));
-  });
+  {
+    obs::SpanGuard span("tile_render", obs::SpanLevel::kFine, "n", count);
+    ParallelFor(0, count, 16, [&](int begin, int end) {
+      for (int i = begin; i < end; ++i) {
+        city_->RenderRegionTile(ids[i], tiles.row(i));
+      }
+      tiles_rendered.Inc(static_cast<uint64_t>(end - begin));
+    });
+  }
   const Tensor encoded = encoder_.Encode(tiles);
   for (int i = 0; i < count; ++i) {
     const float* in = encoded.row(i);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "autograd/ops.h"
+#include "autograd/variable.h"
 #include "features/image_encoder.h"
 #include "tensor/tensor_ops.h"
 #include "features/poi_features.h"
@@ -213,20 +216,71 @@ TEST(ConvEncoderTest, DeterministicAcrossInstances) {
   EXPECT_EQ(fa.at(2, 31), fb.at(2, 31));
 }
 
+// Encoding rows in ragged slices (1, 3, then the rest) must reproduce the
+// whole-batch encoding bit for bit: every row depends only on its own tile.
 TEST(ConvEncoderTest, BatchBoundaryConsistent) {
   ConvEncoder::Options options;
   options.image_size = 16;
   options.out_dim = 16;
-  options.batch_size = 2;  // Force multiple chunks.
-  ConvEncoder chunked(options);
-  options.batch_size = 64;
-  ConvEncoder whole(options);
+  ConvEncoder encoder(options);
   Rng rng(9);
-  Tensor images(5, 3 * 16 * 16);
+  Tensor images(21, 3 * 16 * 16);
   images.RandomNormal(&rng, 0.3f);
-  Tensor fa = chunked.Encode(images);
-  Tensor fb = whole.Encode(images);
-  EXPECT_LT(MaxAbsDiff(fa, fb), 1e-4f);
+  const Tensor whole = encoder.Encode(images);
+  int begin = 0;
+  for (int size : {1, 3, images.rows() - 4}) {
+    Tensor slice(size, images.cols());
+    std::memcpy(slice.data(), images.row(begin),
+                sizeof(float) * slice.size());
+    const Tensor part = encoder.Encode(slice);
+    ASSERT_EQ(std::memcmp(part.data(), whole.row(begin),
+                          sizeof(float) * part.size()),
+              0)
+        << "rows " << begin << ".." << begin + size;
+    begin += size;
+  }
+  EXPECT_EQ(begin, images.rows());
+}
+
+// Reference forward: the autograd composition [Conv2d -> Relu ->
+// MaxPool2d]x3 -> MatMul over the encoder's own frozen weights.
+Tensor AutogradEncode(const ConvEncoder& encoder, const Tensor& images) {
+  ag::VarPtr x = ag::MakeConst(images);
+  for (int l = 0; l < ConvEncoder::kNumLayers; ++l) {
+    const ConvEncoder::ConvLayer& layer = encoder.layer(l);
+    const ag::Conv2dSpec spec{layer.in_channels, layer.in_size, layer.in_size,
+                              layer.out_channels, 3, 1, 1};
+    x = ag::Relu(ag::Conv2d(x, ag::MakeConst(layer.w),
+                            ag::MakeConst(layer.b), spec));
+    x = ag::MaxPool2d(x, layer.out_channels, spec.out_h(), spec.out_w(), 2,
+                      2);
+  }
+  return ag::MatMul(x, ag::MakeConst(encoder.projection()))->value;
+}
+
+TEST(ConvEncoderTest, MatchesAutogradReference) {
+  // 12 floors the last pool down to 1x1 (12 -> 6 -> 3 -> 1).
+  for (int size : {12, 16, 32}) {
+    ConvEncoder::Options options;
+    options.image_size = size;
+    options.out_dim = 24;
+    ConvEncoder encoder(options);
+    for (int n : {1, 7, 257}) {
+      Rng rng(100 + size + n);
+      Tensor images(n, 3 * size * size);
+      for (int64_t i = 0; i < images.size(); ++i) {
+        images[i] = static_cast<float>(rng.Uniform());
+      }
+      const Tensor got = encoder.Encode(images);
+      const Tensor want = AutogradEncode(encoder, images);
+      ASSERT_TRUE(got.SameShape(want));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * got.size()),
+                0)
+          << "size " << size << " n " << n << " max diff "
+          << MaxAbsDiff(got, want);
+    }
+  }
 }
 
 TEST(ConvEncoderTest, DifferentImagesDifferentFeatures) {

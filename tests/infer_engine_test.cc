@@ -78,7 +78,9 @@ class InferEngineTest : public ::testing::Test {
     size_t j = 0;
     for (size_t i = 0; i < fold_->test_ids.size(); ++i) {
       EXPECT_EQ(ragged_out[j++], expected[i]);
-      if (i % 3 == 0) EXPECT_EQ(ragged_out[j++], expected[i]);
+      if (i % 3 == 0) {
+        EXPECT_EQ(ragged_out[j++], expected[i]);
+      }
     }
     ASSERT_EQ(j, ragged.size());
   }
