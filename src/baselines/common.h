@@ -2,14 +2,15 @@
 #define UV_BASELINES_COMMON_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "autograd/optimizer.h"
 #include "autograd/variable.h"
+#include "core/train_loop.h"
 #include "eval/detector.h"
-#include "nn/graph_context.h"
 #include "tensor/tensor.h"
-#include "urg/neighbor_sampler.h"
+#include "urg/urban_region_graph.h"
 
 namespace uv::baselines {
 
@@ -30,58 +31,28 @@ struct TrainOptions {
   int fanout = 16;  // Sampled in-neighbors per node; 0 keeps them all.
 };
 
-// Runs a standard epoch loop: zero grads -> build_loss -> backward -> step.
-// Returns mean wall-clock seconds per epoch. When epoch_seconds is non-null
-// the per-epoch wall times are appended to it (in epoch order) so callers
-// can report percentiles. Each epoch is traced as an "epoch" span and — when
-// a UV_METRICS log is live — emitted as a JSONL record tagged with `stage`
-// (the detector name by convention).
-double TrainLoop(ag::Optimizer* optimizer, int epochs,
-                 double lr_decay_per_epoch,
-                 const std::function<ag::VarPtr()>& build_loss,
-                 std::vector<double>* epoch_seconds = nullptr,
-                 const char* stage = "train");
+// A two-modality graph forward over any batch's inputs (the whole graph or
+// a sampled subgraph): returns per-row logits. GCN and GAT share it.
+using GraphForward = std::function<ag::VarPtr(const core::CmsfInputs&)>;
 
-// Minibatch variant of TrainLoop: each epoch runs `num_batches` optimizer
-// steps (zero grads -> build_batch_loss(epoch, batch) -> backward -> step),
-// decaying the learning rate once per epoch so the schedule matches the
-// full-graph loop. Epoch wall times cover all of the epoch's batches; the
-// per-epoch metrics record reports the mean batch loss.
-double TrainLoopBatched(
-    ag::Optimizer* optimizer, int epochs, double lr_decay_per_epoch,
-    int num_batches,
-    const std::function<ag::VarPtr(int epoch, int batch)>& build_batch_loss,
-    std::vector<double>* epoch_seconds = nullptr, const char* stage = "train");
+// Trains `forward` with weighted BCE on each batch's training rows through
+// the shared epoch driver. Batches are the whole graph, whose inputs are
+// kept in *whole for scoring, or 2-hop samples when options.batch_size > 0
+// (required for sharded URGs, which have no global adjacency).
+core::EpochStats TrainGraphBce(ag::Optimizer* optimizer,
+                               const TrainOptions& options,
+                               const urg::UrbanRegionGraph& urg,
+                               const std::vector<int>& train_ids,
+                               const std::vector<int>& train_labels,
+                               const char* stage, const GraphForward& forward,
+                               std::optional<core::CmsfInputs>* whole);
 
-// A two-modality graph forward over an arbitrary (sub)graph context:
-// returns per-row logits. GCN/GAT/CMSF trunks all fit this shape, so the
-// minibatch loop below is shared across detectors.
-using SubgraphForward = std::function<ag::VarPtr(
-    const nn::GraphContext& ctx, const ag::VarPtr& poi,
-    const ag::VarPtr& img)>;
-
-// Neighborhood-sampled minibatch training (options.batch_size > 0): each
-// epoch shuffles `train_ids` deterministically (seeded by epoch), cuts them
-// into batches, samples each batch's k-hop subgraph, gathers its features
-// through the URG, and applies weighted BCE to the seed rows of
-// forward(...). The positive-class weight is computed once from the FULL
-// training set, so the effective loss matches full-graph training. Returns
-// mean seconds per epoch.
-double TrainMinibatched(ag::Optimizer* optimizer, const TrainOptions& options,
-                        const urg::UrbanRegionGraph& urg,
-                        const std::vector<int>& train_ids,
-                        const std::vector<int>& train_labels,
-                        const SubgraphForward& forward,
-                        std::vector<double>* epoch_seconds,
-                        const char* stage);
-
-// Exact subgraph scoring for minibatch-trained models: eval_ids are scored
-// in chunks whose k-hop closures keep EVERY in-neighbor (fanout = 0), so
-// seed logits equal a full-graph forward pass bit-for-bit while memory
-// stays O(chunk * deg^hops).
-std::vector<float> ScoreMinibatched(const urg::UrbanRegionGraph& urg,
-                                    const std::vector<int>& eval_ids,
-                                    int hops, const SubgraphForward& forward);
+// Exact scores of eval_ids (core::ExactScores): over `whole` when kept,
+// else over fanout-0 2-hop chunks of `urg`.
+std::vector<float> ScoreGraph(const urg::UrbanRegionGraph& urg,
+                              const std::optional<core::CmsfInputs>& whole,
+                              const std::vector<int>& eval_ids,
+                              const GraphForward& forward);
 
 // Copies the given rows of a feature matrix into a constant variable.
 ag::VarPtr GatherConstRows(const Tensor& features,

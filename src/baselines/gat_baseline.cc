@@ -1,7 +1,7 @@
 #include "baselines/gat_baseline.h"
 
 #include "autograd/ops.h"
-#include "core/cmsf_model.h"
+#include "core/train_loop.h"
 #include "tensor/forward_ops.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -15,21 +15,15 @@ constexpr int kImageReduce = 128;
 constexpr int kHeads = 2;
 }  // namespace
 
-ag::VarPtr GatBaseline::ForwardOn(const nn::GraphContext& ctx,
-                                  const ag::VarPtr& poi,
-                                  const ag::VarPtr& img) const {
-  ag::VarPtr p = ag::Relu(poi_g1_->Forward(poi, ctx));
-  p = ag::Relu(poi_g2_->Forward(p, ctx));
-  ag::VarPtr i = img_reduce_->Forward(img, kern::Activation::kRelu);
-  i = ag::Relu(img_g1_->Forward(i, ctx));
-  i = ag::Relu(img_g2_->Forward(i, ctx));
+ag::VarPtr GatBaseline::Forward(const core::CmsfInputs& in) const {
+  ag::VarPtr p = ag::Relu(poi_g1_->Forward(in.poi, in.ctx));
+  p = ag::Relu(poi_g2_->Forward(p, in.ctx));
+  ag::VarPtr i = img_reduce_->Forward(in.image, kern::Activation::kRelu);
+  i = ag::Relu(img_g1_->Forward(i, in.ctx));
+  i = ag::Relu(img_g2_->Forward(i, in.ctx));
   ag::VarPtr fused =
       fuse_->Forward(ag::ConcatCols(p, i), kern::Activation::kRelu);
   return head_->Forward(fused);
-}
-
-ag::VarPtr GatBaseline::ForwardAll() const {
-  return ForwardOn(*ctx_, poi_const_, img_const_);
 }
 
 std::vector<ag::VarPtr> GatBaseline::Params() const {
@@ -51,7 +45,6 @@ void GatBaseline::Train(const urg::UrbanRegionGraph& urg,
                         const std::vector<int>& train_ids,
                         const std::vector<int>& train_labels) {
   Rng rng(options_.seed);
-  minibatch_ = options_.batch_size > 0;
   img_reduce_ = std::make_unique<nn::Linear>(urg.ImageDim(), kImageReduce,
                                              &rng);
   poi_g1_ = std::make_unique<nn::GatLayer>(urg.PoiDim(), kHidden, kHeads,
@@ -68,42 +61,19 @@ void GatBaseline::Train(const urg::UrbanRegionGraph& urg,
   aopt.clip_norm = options_.clip_norm;
   ag::AdamOptimizer opt(Params(), aopt);
 
-  if (minibatch_) {
-    epoch_seconds_ = TrainMinibatched(
-        &opt, options_, urg, train_ids, train_labels,
-        [this](const nn::GraphContext& ctx, const ag::VarPtr& poi,
-               const ag::VarPtr& img) { return ForwardOn(ctx, poi, img); },
-        &epoch_history_, "GAT");
-    return;
-  }
-
-  ctx_ = nn::GraphContext::FromCsr(urg.adjacency);
-  poi_const_ = ag::MakeConst(urg.poi_features);
-  img_const_ = ag::MakeConst(urg.image_features);
-  const Tensor labels = core::MakeLabelTensor(train_labels);
-  const Tensor weights =
-      core::MakeBceWeights(train_labels, options_.pos_weight);
-  auto ids = std::make_shared<const std::vector<int>>(train_ids);
-  epoch_seconds_ =
-      TrainLoop(&opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
-        return ag::BceWithLogits(ag::GatherRows(ForwardAll(), ids), labels,
-                                 &weights);
-      }, &epoch_history_, "GAT");
+  core::EpochStats stats = TrainGraphBce(
+      &opt, options_, urg, train_ids, train_labels, "GAT",
+      [this](const core::CmsfInputs& in) { return Forward(in); }, &whole_);
+  epoch_seconds_ = stats.seconds_per_epoch;
+  epoch_history_ = std::move(stats.epoch_seconds);
 }
 
 std::vector<float> GatBaseline::Score(const urg::UrbanRegionGraph& urg,
                                       const std::vector<int>& eval_ids) {
   WallTimer timer;
-  std::vector<float> out;
-  if (minibatch_) {
-    out = ScoreMinibatched(
-        urg, eval_ids, /*hops=*/2,
-        [this](const nn::GraphContext& ctx, const ag::VarPtr& poi,
-               const ag::VarPtr& img) { return ForwardOn(ctx, poi, img); });
-  } else {
-    ag::VarPtr logits = ForwardAll();
-    out = SigmoidRows(logits->value, eval_ids);
-  }
+  std::vector<float> out =
+      ScoreGraph(urg, whole_, eval_ids,
+                 [this](const core::CmsfInputs& in) { return Forward(in); });
   inference_seconds_ = timer.Seconds();
   return out;
 }

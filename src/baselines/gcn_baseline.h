@@ -42,15 +42,12 @@ class GcnBaseline : public eval::Detector {
       const urg::UrbanRegionGraph& urg) const;
 
  private:
-  ag::VarPtr ForwardOn(const nn::GraphContext& ctx, const ag::VarPtr& poi,
-                       const ag::VarPtr& img) const;
-  ag::VarPtr ForwardAll() const;
+  ag::VarPtr Forward(const core::CmsfInputs& in) const;
   std::vector<ag::VarPtr> Params() const;
 
   TrainOptions options_;
-  bool minibatch_ = false;
-  std::optional<nn::GraphContext> ctx_;
-  ag::VarPtr poi_const_, img_const_;
+  // Whole-graph inputs kept from Train; empty when trained sampled.
+  std::optional<core::CmsfInputs> whole_;
   std::unique_ptr<nn::Linear> img_reduce_;
   std::unique_ptr<nn::GcnLayer> poi_g1_, poi_g2_, img_g1_, img_g2_;
   std::unique_ptr<nn::Linear> fuse_;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "core/cmsf_model.h"
+#include "core/train_loop.h"
 #include "obs/metrics_log.h"
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"

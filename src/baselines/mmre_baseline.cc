@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "core/cmsf_model.h"
+#include "core/train_loop.h"
 #include "util/timer.h"
 
 namespace uv::baselines {
@@ -86,8 +86,9 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
   aopt.clip_norm = options_.clip_norm;
   ag::AdamOptimizer opt(embed_params, aopt);
   const int unsup_epochs = std::max(10, options_.epochs / 2);
-  epoch_seconds_ = TrainLoop(
-      &opt, unsup_epochs, options_.lr_decay_per_epoch, [&]() -> ag::VarPtr {
+  core::EpochStats stats = core::RunEpochs(
+      &opt, unsup_epochs, options_.lr_decay_per_epoch, "MMRE-unsup", 1,
+      [&](int, int) -> ag::VarPtr {
         // Denoising autoencoder branch.
         Tensor noisy = urg.image_features;
         for (int64_t i = 0; i < noisy.size(); ++i) {
@@ -141,7 +142,9 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
           loss = ag::Add(loss, ag::ScalarMul(skip_loss, kLambdaSkip));
         }
         return loss;
-      }, &epoch_history_, "MMRE-unsup");
+      });
+  epoch_seconds_ = stats.seconds_per_epoch;
+  epoch_history_ = std::move(stats.epoch_seconds);
 
   // Freeze embeddings, then train the logistic head supervised.
   embeddings_ = EmbedAll()->value;
@@ -150,9 +153,11 @@ void MmreBaseline::Train(const urg::UrbanRegionGraph& urg,
       core::MakeBceWeights(train_labels, options_.pos_weight);
   ag::VarPtr train_embed = GatherConstRows(embeddings_, train_ids);
   ag::AdamOptimizer head_opt(head_->Params(), aopt);
-  TrainLoop(&head_opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
-    return ag::BceWithLogits(head_->Forward(train_embed), labels, &weights);
-  }, nullptr, "MMRE-head");
+  core::RunEpochs(&head_opt, options_.epochs, options_.lr_decay_per_epoch,
+                  "MMRE-head", 1, [&](int, int) {
+                    return ag::BceWithLogits(head_->Forward(train_embed),
+                                             labels, &weights);
+                  });
 }
 
 std::vector<float> MmreBaseline::Score(const urg::UrbanRegionGraph& urg,

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/cmsf_model.h"
+#include "core/train_loop.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -61,8 +61,9 @@ void MuvfcnBaseline::Train(const urg::UrbanRegionGraph& urg,
 
   const Tensor& images = *urg.images;
   const int n_train = static_cast<int>(train_ids.size());
-  epoch_seconds_ = TrainLoop(
-      &opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
+  core::EpochStats stats = core::RunEpochs(
+      &opt, options_.epochs, options_.lr_decay_per_epoch, "MUVFCN", 1,
+      [&](int, int) {
         const int batch = std::min(kBatch, n_train);
         std::vector<int> pick_ids(batch);
         std::vector<int> pick_labels(batch);
@@ -76,7 +77,9 @@ void MuvfcnBaseline::Train(const urg::UrbanRegionGraph& urg,
             core::MakeBceWeights(pick_labels, options_.pos_weight);
         ag::VarPtr tiles = GatherConstRows(images, pick_ids);
         return ag::BceWithLogits(ForwardTiles(tiles), labels, &weights);
-      }, &epoch_history_, "MUVFCN");
+      });
+  epoch_seconds_ = stats.seconds_per_epoch;
+  epoch_history_ = std::move(stats.epoch_seconds);
 }
 
 std::vector<float> MuvfcnBaseline::Score(const urg::UrbanRegionGraph& urg,

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/cmsf_model.h"
+#include "core/train_loop.h"
 #include "features/image_encoder.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -75,8 +75,9 @@ void UvLensBaseline::Train(const urg::UrbanRegionGraph& urg,
   ag::AdamOptimizer opt(Params(), aopt);
 
   const int n_train = static_cast<int>(train_ids.size());
-  epoch_seconds_ = TrainLoop(
-      &opt, options_.epochs, options_.lr_decay_per_epoch, [&]() {
+  core::EpochStats stats = core::RunEpochs(
+      &opt, options_.epochs, options_.lr_decay_per_epoch, "UVLens", 1,
+      [&](int, int) {
         // Mini-batch sampled per epoch keeps single-core cost bounded.
         const int batch = std::min(kBatch, n_train);
         std::vector<int> pick_ids(batch);
@@ -91,7 +92,9 @@ void UvLensBaseline::Train(const urg::UrbanRegionGraph& urg,
             core::MakeBceWeights(pick_labels, options_.pos_weight);
         ag::VarPtr tiles = GatherConstRows(equalized_, pick_ids);
         return ag::BceWithLogits(ForwardTiles(tiles), labels, &weights);
-      }, &epoch_history_, "UVLens");
+      });
+  epoch_seconds_ = stats.seconds_per_epoch;
+  epoch_history_ = std::move(stats.epoch_seconds);
 }
 
 std::vector<float> UvLensBaseline::Score(const urg::UrbanRegionGraph& urg,

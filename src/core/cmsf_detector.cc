@@ -1,6 +1,8 @@
 #include "core/cmsf_detector.h"
 
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/config_codec.h"
 #include "io/checkpoint.h"
@@ -9,12 +11,46 @@
 #include "util/timer.h"
 
 namespace uv::core {
+namespace {
+
+// A checkpoint's frozen stage-one assignment is all empty (nothing was
+// frozen), or soft B is N x k, hard B~ is 1 x N with integral entries in
+// [0, k) and the pseudo labels are 1 x k with entries in {0, 1}. Hard ids
+// index per-cluster arrays unchecked downstream, so anything else is
+// rejected here.
+Status ValidateFrozen(const Tensor& soft, const Tensor& hard,
+                      const Tensor& pseudo, int num_regions, int k) {
+  if (soft.size() == 0 && hard.size() == 0 && pseudo.size() == 0) {
+    return Status::Ok();
+  }
+  if (soft.rows() != num_regions || soft.cols() != k || hard.rows() != 1 ||
+      hard.cols() != num_regions || pseudo.rows() != 1 || pseudo.cols() != k) {
+    return Status::InvalidArgument("frozen assignment shape mismatch");
+  }
+  for (int i = 0; i < num_regions; ++i) {
+    const float h = hard.at(0, i);
+    if (!(h >= 0.0f && h < static_cast<float>(k)) || h != std::floor(h)) {
+      return Status::InvalidArgument(
+          "frozen hard assignment of region " + std::to_string(i) +
+          " is not a cluster id in [0, " + std::to_string(k) + ")");
+    }
+  }
+  for (int c = 0; c < k; ++c) {
+    const float p = pseudo.at(0, c);
+    if (p != 0.0f && p != 1.0f) {
+      return Status::InvalidArgument("frozen pseudo label of cluster " +
+                                     std::to_string(c) + " is not 0 or 1");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 void CmsfDetector::Train(const urg::UrbanRegionGraph& urg,
                          const std::vector<int>& train_ids,
                          const std::vector<int>& train_labels) {
   Rng rng(config_.seed);
-  minibatch_ = config_.batch_size > 0;
   fingerprint_ = io::UrgFingerprint::FromUrg(urg);
   // A new training run invalidates any cached quality baseline; the ids
   // and labels are retained so the baseline's calibration bins can pair
@@ -24,25 +60,25 @@ void CmsfDetector::Train(const urg::UrbanRegionGraph& urg,
   train_labels_ = train_labels;
   model_ = std::make_unique<CmsfModel>(config_, urg.PoiDim(), urg.ImageDim(),
                                        &rng);
-  if (minibatch_) {
-    // Neighborhood-sampled path: never materializes full-graph inputs.
-    MasterTrainResult master =
-        TrainMasterMinibatch(model_.get(), urg, train_ids, train_labels);
-    frozen_ = std::move(master.frozen);
-    train_epoch_seconds_ = master.seconds_per_epoch;
-    epoch_seconds_ = std::move(master.epoch_seconds);
-    TrainSlaveMinibatch(model_.get(), urg, frozen_, train_ids, train_labels);
-    return;
-  }
-  inputs_ = CmsfInputs::FromUrg(urg);
+  ResetInputs(urg);
   MasterTrainResult master =
-      TrainMaster(model_.get(), *inputs_, train_ids, train_labels);
+      TrainMaster(model_.get(), Graph(urg), train_ids, train_labels);
   frozen_ = std::move(master.frozen);
   // Table III reports the master stage as the training time: it dominates,
   // and the slave stage "only needs very few iterations" (paper VI-G).
   train_epoch_seconds_ = master.seconds_per_epoch;
   epoch_seconds_ = std::move(master.epoch_seconds);
-  TrainSlave(model_.get(), *inputs_, frozen_, train_ids, train_labels);
+  TrainSlave(model_.get(), Graph(urg), frozen_, train_ids, train_labels);
+}
+
+void CmsfDetector::ResetInputs(const urg::UrbanRegionGraph& urg) {
+  inputs_.reset();
+  // Sampled training (batch_size > 0) never materializes whole-graph inputs.
+  if (config_.batch_size <= 0) inputs_ = CmsfInputs::FromUrg(urg);
+}
+
+BatchGraph CmsfDetector::Graph(const urg::UrbanRegionGraph& urg) const {
+  return BatchGraph{inputs_ ? &*inputs_ : nullptr, &urg};
 }
 
 std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
@@ -50,13 +86,8 @@ std::vector<float> CmsfDetector::Score(const urg::UrbanRegionGraph& urg,
   WallTimer timer;
   const CmsfModel::FrozenAssignment* frozen =
       config_.use_hierarchy ? &frozen_ : nullptr;
-  std::vector<float> scores;
-  if (minibatch_) {
-    scores = PredictCmsfMinibatch(*model_, urg, frozen, eval_ids);
-  } else {
-    (void)urg;  // Inputs were captured at Train time.
-    scores = PredictCmsf(*model_, *inputs_, frozen, eval_ids);
-  }
+  std::vector<float> scores =
+      PredictCmsf(*model_, Graph(urg), frozen, eval_ids);
   inference_seconds_ = timer.Seconds();
   return scores;
 }
@@ -77,13 +108,9 @@ void CmsfDetector::EnsureBaseline(const urg::UrbanRegionGraph& urg) {
       config_.use_hierarchy ? &frozen_ : nullptr;
   std::vector<int> all_ids(static_cast<size_t>(urg.num_regions()));
   std::iota(all_ids.begin(), all_ids.end(), 0);
-  std::vector<float> scores;
-  if (!minibatch_ && inputs_) {
-    scores = PredictCmsf(*model_, *inputs_, frozen, all_ids);
-  } else {
-    const CmsfInputs inputs = CmsfInputs::FromUrg(urg);
-    scores = PredictCmsf(*model_, inputs, frozen, all_ids);
-  }
+  const CmsfInputs whole = inputs_ ? *inputs_ : CmsfInputs::FromUrg(urg);
+  const std::vector<float> scores =
+      PredictCmsf(*model_, whole, frozen, all_ids);
   std::vector<float> labeled_scores(train_ids_.size());
   for (size_t i = 0; i < train_ids_.size(); ++i) {
     labeled_scores[i] = scores[static_cast<size_t>(train_ids_[i])];
@@ -135,14 +162,18 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
   std::vector<Tensor>& tensors = ck.tensors;
 
   Rng rng(config_.seed);
-  minibatch_ = config_.batch_size > 0;
-  if (!minibatch_) inputs_ = CmsfInputs::FromUrg(urg);
+  ResetInputs(urg);
   model_ = std::make_unique<CmsfModel>(config_, urg.PoiDim(), urg.ImageDim(),
                                        &rng);
   auto params = model_->AllParams();
   if (tensors.size() != params.size() + 3) {
     return Status::InvalidArgument("checkpoint layout mismatch");
   }
+  Status frozen = ValidateFrozen(tensors[params.size()],
+                                 tensors[params.size() + 1],
+                                 tensors[params.size() + 2],
+                                 urg.num_regions(), config_.num_clusters);
+  if (!frozen.ok()) return frozen;
   for (size_t i = 0; i < params.size(); ++i) {
     if (!tensors[i].SameShape(params[i]->value)) {
       return Status::InvalidArgument("parameter shape mismatch");

@@ -60,10 +60,13 @@ class CmsfDetector : public eval::Detector {
 
  private:
   void EnsureBaseline(const urg::UrbanRegionGraph& urg);
+  // Keeps whole-graph inputs of `urg` unless the config trains sampled.
+  void ResetInputs(const urg::UrbanRegionGraph& urg);
+  // The resident whole-graph inputs when kept, else `urg` to sample from.
+  BatchGraph Graph(const urg::UrbanRegionGraph& urg) const;
 
   CmsfConfig config_;
   std::string name_;
-  bool minibatch_ = false;
   std::unique_ptr<CmsfModel> model_;
   std::optional<CmsfInputs> inputs_;
   CmsfModel::FrozenAssignment frozen_;

@@ -1,107 +1,92 @@
 #include "core/cmsf_model.h"
 
-#include <cmath>
-
-#include <numeric>
-
-#include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "tensor/forward_ops.h"
 #include "tensor/tensor_ops.h"
-#include "obs/metrics_log.h"
 #include "obs/trace.h"
-#include "urg/neighbor_sampler.h"
 #include "util/check.h"
-#include "util/logging.h"
-#include "util/timer.h"
 
 namespace uv::core {
 namespace {
 
-// Model inputs for one sampled subgraph: features gathered through the URG
-// (feature store at paper scale), context wrapping the subgraph's arrays.
-CmsfInputs SubgraphInputs(const urg::UrbanRegionGraph& urg,
-                          const urg::SampledSubgraph& sg) {
-  CmsfInputs inputs;
-  Tensor poi;
-  urg.GatherPoiRows(sg.nodes, &poi);
-  inputs.poi = ag::MakeConst(std::move(poi));
-  Tensor image;
-  urg.GatherImageRows(sg.nodes, &image);
-  inputs.image = ag::MakeConst(std::move(image));
-  inputs.ctx = urg::ContextFromSubgraph(sg);
-  return inputs;
-}
-
-// The frozen assignment restricted to a subgraph's nodes (row i of the
-// result = frozen rows of nodes[i]), as ForwardFrozen expects.
-CmsfModel::FrozenAssignment SliceFrozen(
-    const CmsfModel::FrozenAssignment& frozen, const std::vector<int>& nodes) {
-  CmsfModel::FrozenAssignment out;
+// The frozen assignment a batch's forward pins: the whole assignment on the
+// whole graph, otherwise its rows for the batch's nodes (row i = frozen
+// rows of nodes[i]), built into *slice.
+const CmsfModel::FrozenAssignment* FrozenFor(
+    const CmsfModel::FrozenAssignment& frozen, const Batch& batch,
+    CmsfModel::FrozenAssignment* slice) {
+  if (batch.whole_graph()) return &frozen;
   const int k = frozen.soft.cols();
-  out.soft = Tensor::Uninit(static_cast<int>(nodes.size()), k);
-  out.hard.resize(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    std::memcpy(out.soft.row(static_cast<int>(i)), frozen.soft.row(nodes[i]),
+  slice->soft = Tensor::Uninit(static_cast<int>(batch.nodes.size()), k);
+  slice->hard.resize(batch.nodes.size());
+  for (size_t i = 0; i < batch.nodes.size(); ++i) {
+    std::memcpy(slice->soft.row(static_cast<int>(i)),
+                frozen.soft.row(batch.nodes[i]),
                 sizeof(float) * static_cast<size_t>(k));
-    out.hard[i] = frozen.hard[nodes[i]];
+    slice->hard[i] = frozen.hard[batch.nodes[i]];
   }
-  out.pseudo_labels = frozen.pseudo_labels;
-  return out;
+  slice->pseudo_labels = frozen.pseudo_labels;
+  return slice;
 }
 
-// Deterministic epoch order of the training set: reshuffled from the
-// canonical (ascending-id) order each epoch so the permutation depends only
-// on (seed, epoch), never on previous epochs.
-void EpochOrder(const std::vector<int>& train_ids,
-                const std::vector<int>& train_labels, uint64_t seed,
-                int epoch, std::vector<std::pair<int, int>>* order) {
-  order->resize(train_ids.size());
+urg::MinibatchConfig Sampling(const CmsfConfig& cfg, uint64_t seed) {
+  urg::MinibatchConfig sampling;
+  sampling.batch_size = cfg.batch_size;
+  sampling.fanout = cfg.fanout;
+  sampling.hops = cfg.maga_layers;
+  sampling.seed = seed;
+  return sampling;
+}
+
+ag::AdamOptimizer::Options AdamOptions(const CmsfConfig& cfg,
+                                       double learning_rate) {
+  ag::AdamOptimizer::Options aopt;
+  aopt.learning_rate = learning_rate;
+  aopt.clip_norm = cfg.clip_norm;
+  return aopt;
+}
+
+// The learned membership over every region, with cluster pseudo labels
+// (eq. 16) from the labels of *training* regions only (test labels stay
+// unseen). Assignment rows depend only on a region's own trunk output, so
+// the exact forward reproduces the whole-graph rows bit for bit.
+CmsfModel::FrozenAssignment FreezeAssignment(
+    const CmsfModel& model, const BatchGraph& graph,
+    const std::vector<int>& train_ids, const std::vector<int>& train_labels) {
+  obs::SpanGuard freeze_span("freeze_assignment", obs::SpanLevel::kCoarse);
+  const CmsfConfig& cfg = model.config();
+  const int n = graph.whole != nullptr ? graph.whole->poi->rows()
+                                       : graph.urg->num_regions();
+  std::vector<int> all_ids(n);
+  std::iota(all_ids.begin(), all_ids.end(), 0);
+  CmsfModel::FrozenAssignment frozen;
+  frozen.soft = Tensor::Uninit(n, cfg.num_clusters);
+  frozen.hard.assign(n, 0);
+  ForEachExactBatch(
+      graph, cfg.maga_layers, all_ids, [&](const Batch& batch, size_t first) {
+        const auto fwd = model.Forward(batch.inputs, nullptr);
+        for (size_t i = 0; i < batch.rows->size(); ++i) {
+          const int row = (*batch.rows)[i];
+          std::memcpy(frozen.soft.row(static_cast<int>(first + i)),
+                      fwd.assignment->value.row(row),
+                      sizeof(float) * static_cast<size_t>(cfg.num_clusters));
+          frozen.hard[first + i] = fwd.hard_assignment[row];
+        }
+      });
+  std::vector<int> full_labels(n, -1);
   for (size_t i = 0; i < train_ids.size(); ++i) {
-    (*order)[i] = {train_ids[i], train_labels[i]};
+    full_labels[train_ids[i]] = train_labels[i];
   }
-  std::sort(order->begin(), order->end());
-  Rng rng(urg::MixSeed(seed ^ 0xba7c4u, epoch));
-  rng.Shuffle(order);
-}
-
-// Positive-class BCE weight resolved from the FULL training set (per-batch
-// balancing would make the loss depend on batch composition).
-float GlobalPosWeight(const std::vector<int>& train_labels,
-                      double pos_weight) {
-  const Tensor w = MakeBceWeights(train_labels, pos_weight);
-  for (size_t i = 0; i < train_labels.size(); ++i) {
-    if (train_labels[i] > 0) return w.at(static_cast<int>(i), 0);
-  }
-  return 1.0f;
-}
-
-Tensor BatchWeights(const std::vector<int>& labels, float pos_w) {
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) = labels[i] > 0 ? pos_w : 1.0f;
-  }
-  return out;
-}
-
-std::shared_ptr<const std::vector<int>> SeedRows(int num_seeds) {
-  auto rows = std::make_shared<std::vector<int>>(num_seeds);
-  for (int i = 0; i < num_seeds; ++i) (*rows)[i] = i;
-  return rows;
+  frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
+      frozen.hard, full_labels, cfg.num_clusters);
+  return frozen;
 }
 
 }  // namespace
-
-CmsfInputs CmsfInputs::FromUrg(const urg::UrbanRegionGraph& urg) {
-  CmsfInputs inputs;
-  inputs.poi = ag::MakeConst(urg.poi_features);
-  inputs.image = ag::MakeConst(urg.image_features);
-  inputs.ctx = nn::GraphContext::FromCsr(urg.adjacency);
-  return inputs;
-}
 
 CmsfModel::CmsfModel(const CmsfConfig& config, int poi_dim, int image_dim,
                      Rng* rng)
@@ -265,454 +250,130 @@ std::vector<ag::VarPtr> CmsfModel::AllParams() const {
   return params;
 }
 
-Tensor MakeLabelTensor(const std::vector<int>& labels) {
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) = labels[i] > 0 ? 1.0f : 0.0f;
+MasterTrainResult TrainMaster(CmsfModel* model, const BatchGraph& graph,
+                              const std::vector<int>& train_ids,
+                              const std::vector<int>& train_labels) {
+  const CmsfConfig& cfg = model->config();
+  ag::AdamOptimizer opt(model->MasterParams(),
+                        AdamOptions(cfg, cfg.learning_rate));
+  MasterTrainResult result;
+  obs::SpanGuard stage_span("train_master", obs::SpanLevel::kCoarse, "epochs",
+                            cfg.master_epochs);
+  {
+    TrainBatches batches(graph, train_ids, train_labels, cfg.pos_weight,
+                         Sampling(cfg, cfg.seed));
+    static_cast<EpochStats&>(result) = RunEpochs(
+        &opt, cfg.master_epochs, cfg.lr_decay_per_epoch, "master",
+        batches.num_batches(), [&](int epoch, int b) {
+          const Batch& batch = batches.Get(epoch, b);
+          const auto fwd = model->Forward(batch.inputs, nullptr);
+          return ag::BceWithLogits(
+              ag::GatherRows(fwd.master_logits, batch.rows), batch.labels,
+              &batch.weights);
+        });
   }
-  return out;
-}
-
-Tensor MakeBceWeights(const std::vector<int>& labels, double pos_weight) {
-  int num_pos = 0;
-  for (int l : labels) num_pos += (l > 0);
-  const int num_neg = static_cast<int>(labels.size()) - num_pos;
-  double w = pos_weight;
-  if (w <= 0.0) {
-    w = num_pos > 0 ? static_cast<double>(num_neg) /
-                          std::max(1, num_pos)
-                    : 1.0;
+  if (cfg.use_hierarchy && (graph.whole != nullptr || cfg.use_gate)) {
+    result.frozen = FreezeAssignment(*model, graph, train_ids, train_labels);
   }
-  Tensor out(static_cast<int>(labels.size()), 1);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    out.at(static_cast<int>(i), 0) =
-        labels[i] > 0 ? static_cast<float>(w) : 1.0f;
-  }
-  return out;
+  return result;
 }
 
 MasterTrainResult TrainMaster(CmsfModel* model, const CmsfInputs& inputs,
                               const std::vector<int>& train_ids,
                               const std::vector<int>& train_labels) {
-  UV_CHECK_EQ(train_ids.size(), train_labels.size());
-  const CmsfConfig& cfg = model->config();
-  auto ids = std::make_shared<const std::vector<int>>(train_ids);
-  const Tensor labels = MakeLabelTensor(train_labels);
-  const Tensor weights = MakeBceWeights(train_labels, cfg.pos_weight);
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate;
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->MasterParams(), aopt);
-
-  MasterTrainResult result;
-  result.epoch_seconds.reserve(cfg.master_epochs);
-  obs::SpanGuard stage_span("train_master", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.master_epochs);
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < cfg.master_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    opt.ZeroGradients();
-    auto fwd = model->Forward(inputs, nullptr);
-    ag::VarPtr logits = ag::GatherRows(fwd.master_logits, ids);
-    ag::VarPtr loss = ag::BceWithLogits(logits, labels, &weights);
-    last_loss = loss->value.at(0, 0);
-    ag::Backward(loss);
-    // Grad norm is an extra full pass over every parameter; only pay for
-    // it when the metrics log is live (it never feeds back into training).
-    const double grad_norm = obs::MetricsLogEnabled()
-                                 ? ag::GlobalGradNorm(opt.params())
-                                 : 0.0;
-    opt.Step();
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "master")
-        .Int("epoch", epoch)
-        .Num("loss", last_loss)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.master_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.master_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-
-  if (cfg.use_hierarchy) {
-    // Freeze the learned membership and derive pseudo labels (eq. 16) from
-    // the labels of *training* regions only (test labels stay unseen).
-    auto fwd = model->Forward(inputs, nullptr);
-    result.frozen.soft = fwd.assignment->value;
-    result.frozen.hard = fwd.hard_assignment;
-    std::vector<int> full_labels(fwd.master_logits->rows(), -1);
-    for (size_t i = 0; i < train_ids.size(); ++i) {
-      full_labels[train_ids[i]] = train_labels[i];
-    }
-    result.frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
-        result.frozen.hard, full_labels, cfg.num_clusters);
-  }
-  return result;
+  return TrainMaster(model, BatchGraph{&inputs, nullptr}, train_ids,
+                     train_labels);
 }
 
 MasterTrainResult TrainMasterMinibatch(CmsfModel* model,
                                        const urg::UrbanRegionGraph& urg,
                                        const std::vector<int>& train_ids,
                                        const std::vector<int>& train_labels) {
-  UV_CHECK_EQ(train_ids.size(), train_labels.size());
+  return TrainMaster(model, BatchGraph{nullptr, &urg}, train_ids,
+                     train_labels);
+}
+
+SlaveTrainResult TrainSlave(CmsfModel* model, const BatchGraph& graph,
+                            const CmsfModel::FrozenAssignment& frozen,
+                            const std::vector<int>& train_ids,
+                            const std::vector<int>& train_labels) {
   const CmsfConfig& cfg = model->config();
-  UV_CHECK_GT(cfg.batch_size, 0);
-  const urg::NeighborView view(urg);
-  const int num_train = static_cast<int>(train_ids.size());
-  const int bs = std::min(cfg.batch_size, num_train);
-  const int num_batches = (num_train + bs - 1) / bs;
-  const float pos_w = GlobalPosWeight(train_labels, cfg.pos_weight);
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate;
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->MasterParams(), aopt);
-
-  MasterTrainResult result;
-  result.epoch_seconds.reserve(cfg.master_epochs);
-  obs::SpanGuard stage_span("train_master", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.master_epochs);
-  double last_loss = 0.0;
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> seeds, seed_labels;
-  for (int epoch = 0; epoch < cfg.master_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    EpochOrder(train_ids, train_labels, cfg.seed, epoch, &order);
-    urg::MinibatchConfig mcfg;
-    mcfg.batch_size = bs;
-    mcfg.fanout = cfg.fanout;
-    mcfg.hops = cfg.maga_layers;
-    mcfg.seed = urg::MixSeed(cfg.seed, epoch);
-    double epoch_loss = 0.0;
-    double grad_norm = 0.0;
-    for (int b = 0; b < num_batches; ++b) {
-      opt.ZeroGradients();
-      const int begin = b * bs;
-      const int end = std::min(num_train, begin + bs);
-      seeds.clear();
-      seed_labels.clear();
-      for (int i = begin; i < end; ++i) {
-        seeds.push_back(order[i].first);
-        seed_labels.push_back(order[i].second);
-      }
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mcfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      auto fwd = model->Forward(inputs, nullptr);
-      ag::VarPtr logits =
-          ag::GatherRows(fwd.master_logits, SeedRows(sg.num_seeds));
-      const Tensor labels = MakeLabelTensor(seed_labels);
-      const Tensor weights = BatchWeights(seed_labels, pos_w);
-      ag::VarPtr loss = ag::BceWithLogits(logits, labels, &weights);
-      last_loss = loss->value.at(0, 0);
-      epoch_loss += last_loss;
-      ag::Backward(loss);
-      if (obs::MetricsLogEnabled()) {
-        grad_norm = ag::GlobalGradNorm(opt.params());
-      }
-      opt.Step();
-    }
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "master")
-        .Int("epoch", epoch)
-        .Int("batches", num_batches)
-        .Num("loss", epoch_loss / num_batches)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.master_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.master_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-
-  // Freeze the learned membership only when something downstream consumes
-  // it (the slave stage / gated inference); the exact sweep below touches
-  // every region and is pure overhead for gate-less variants.
-  if (cfg.use_hierarchy && cfg.use_gate) {
-    // Freeze the learned membership exactly: assignment rows only depend on
-    // a region's own trunk output, so fanout-unlimited chunks reproduce the
-    // full-graph rows bit for bit at O(chunk * deg^hops) memory.
-    obs::SpanGuard freeze_span("freeze_assignment", obs::SpanLevel::kCoarse);
-    const int n = urg.num_regions();
-    result.frozen.soft = Tensor::Uninit(n, cfg.num_clusters);
-    result.frozen.hard.assign(n, 0);
-    urg::MinibatchConfig ecfg;
-    ecfg.fanout = 0;
-    ecfg.hops = cfg.maga_layers;
-    constexpr int kChunk = 64;
-    for (int begin = 0; begin < n; begin += kChunk) {
-      const int end = std::min(n, begin + kChunk);
-      std::vector<int> chunk(end - begin);
-      std::iota(chunk.begin(), chunk.end(), begin);
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, chunk, ecfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      auto fwd = model->Forward(inputs, nullptr);
-      for (int i = 0; i < sg.num_seeds; ++i) {
-        std::memcpy(result.frozen.soft.row(begin + i),
-                    fwd.assignment->value.row(i),
-                    sizeof(float) * static_cast<size_t>(cfg.num_clusters));
-        result.frozen.hard[begin + i] = fwd.hard_assignment[i];
-      }
-    }
-    std::vector<int> full_labels(n, -1);
-    for (size_t i = 0; i < train_ids.size(); ++i) {
-      full_labels[train_ids[i]] = train_labels[i];
-    }
-    result.frozen.pseudo_labels = nn::ComputeClusterPseudoLabels(
-        result.frozen.hard, full_labels, cfg.num_clusters);
-  }
-  return result;
+  if (!cfg.use_hierarchy || !cfg.use_gate) return SlaveTrainResult();
+  UV_CHECK_EQ(frozen.pseudo_labels.size(),
+              static_cast<size_t>(cfg.num_clusters));
+  // Gentle fine-tuning stage.
+  ag::AdamOptimizer opt(model->AllParams(),
+                        AdamOptions(cfg, cfg.learning_rate * 0.1));
+  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
+                            cfg.slave_epochs);
+  TrainBatches batches(graph, train_ids, train_labels, cfg.pos_weight,
+                       Sampling(cfg, cfg.seed ^ 0x51a7eull));
+  return RunEpochs(
+      &opt, cfg.slave_epochs, cfg.lr_decay_per_epoch, "slave",
+      batches.num_batches(), [&](int epoch, int b) {
+        const Batch& batch = batches.Get(epoch, b);
+        CmsfModel::FrozenAssignment slice;
+        const CmsfModel::FrozenAssignment* pinned =
+            FrozenFor(frozen, batch, &slice);
+        const auto fwd = model->Forward(batch.inputs, pinned);
+        ag::VarPtr inclusion;
+        ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
+        ag::VarPtr loss =
+            ag::BceWithLogits(ag::GatherRows(slave_logits, batch.rows),
+                              batch.labels, &batch.weights);
+        // PU rank loss between clusters with known UVs (C1) and the rest
+        // (C0). A sampled batch ranks only the clusters it populates: the
+        // rest have all-zero (empty) cluster representations, so ranking
+        // their inclusion scores would only inject noise. Without a
+        // rankable pair the rank loss is identically zero.
+        std::vector<char> present(cfg.num_clusters, batch.whole_graph());
+        if (!batch.whole_graph()) {
+          for (int h : pinned->hard) present[h] = 1;
+        }
+        std::vector<int> positive, unlabeled;
+        for (int k = 0; k < cfg.num_clusters; ++k) {
+          if (!present[k]) continue;
+          (frozen.pseudo_labels[k] == 1 ? positive : unlabeled).push_back(k);
+        }
+        if (!positive.empty() && !unlabeled.empty()) {
+          ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
+          loss = ag::Add(
+              loss, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
+        }
+        return loss;
+      });
 }
 
 SlaveTrainResult TrainSlave(CmsfModel* model, const CmsfInputs& inputs,
                             const CmsfModel::FrozenAssignment& frozen,
                             const std::vector<int>& train_ids,
                             const std::vector<int>& train_labels) {
-  SlaveTrainResult result;
-  const CmsfConfig& cfg = model->config();
-  if (!cfg.use_hierarchy || !cfg.use_gate) return result;
-  UV_CHECK_EQ(frozen.pseudo_labels.size(),
-              static_cast<size_t>(cfg.num_clusters));
-
-  auto ids = std::make_shared<const std::vector<int>>(train_ids);
-  const Tensor labels = MakeLabelTensor(train_labels);
-  const Tensor weights = MakeBceWeights(train_labels, cfg.pos_weight);
-
-  // Clusters with known UVs (C1) vs the rest (C0) for the PU rank loss.
-  std::vector<int> positive, unlabeled;
-  for (int k = 0; k < cfg.num_clusters; ++k) {
-    (frozen.pseudo_labels[k] == 1 ? positive : unlabeled).push_back(k);
-  }
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate * 0.1;  // Gentle fine-tuning stage.
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->AllParams(), aopt);
-
-  result.epoch_seconds.reserve(cfg.slave_epochs);
-  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.slave_epochs);
-  double last_loss = 0.0;
-  for (int epoch = 0; epoch < cfg.slave_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    opt.ZeroGradients();
-    auto fwd = model->Forward(inputs, &frozen);
-    ag::VarPtr inclusion;
-    ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
-    ag::VarPtr loss_c = ag::BceWithLogits(ag::GatherRows(slave_logits, ids),
-                                          labels, &weights);
-    ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
-    ag::VarPtr loss =
-        ag::Add(loss_c, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
-    last_loss = loss->value.at(0, 0);
-    ag::Backward(loss);
-    const double grad_norm = obs::MetricsLogEnabled()
-                                 ? ag::GlobalGradNorm(opt.params())
-                                 : 0.0;
-    opt.Step();
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "slave")
-        .Int("epoch", epoch)
-        .Num("loss", last_loss)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.slave_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.slave_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-  return result;
+  return TrainSlave(model, BatchGraph{&inputs, nullptr}, frozen, train_ids,
+                    train_labels);
 }
 
-SlaveTrainResult TrainSlaveMinibatch(CmsfModel* model,
-                                     const urg::UrbanRegionGraph& urg,
-                                     const CmsfModel::FrozenAssignment& frozen,
-                                     const std::vector<int>& train_ids,
-                                     const std::vector<int>& train_labels) {
-  SlaveTrainResult result;
-  const CmsfConfig& cfg = model->config();
-  if (!cfg.use_hierarchy || !cfg.use_gate) return result;
-  UV_CHECK_EQ(frozen.pseudo_labels.size(),
-              static_cast<size_t>(cfg.num_clusters));
-  UV_CHECK_GT(cfg.batch_size, 0);
-
-  const urg::NeighborView view(urg);
-  const int num_train = static_cast<int>(train_ids.size());
-  const int bs = std::min(cfg.batch_size, num_train);
-  const int num_batches = (num_train + bs - 1) / bs;
-  const float pos_w = GlobalPosWeight(train_labels, cfg.pos_weight);
-
-  ag::AdamOptimizer::Options aopt;
-  aopt.learning_rate = cfg.learning_rate * 0.1;  // Gentle fine-tuning stage.
-  aopt.clip_norm = cfg.clip_norm;
-  ag::AdamOptimizer opt(model->AllParams(), aopt);
-
-  result.epoch_seconds.reserve(cfg.slave_epochs);
-  obs::SpanGuard stage_span("train_slave", obs::SpanLevel::kCoarse, "epochs",
-                            cfg.slave_epochs);
-  double last_loss = 0.0;
-  std::vector<std::pair<int, int>> order;
-  std::vector<int> seeds, seed_labels;
-  for (int epoch = 0; epoch < cfg.slave_epochs; ++epoch) {
-    obs::SpanGuard epoch_span("epoch", obs::SpanLevel::kCoarse, "epoch",
-                              epoch);
-    WallTimer epoch_timer;
-    EpochOrder(train_ids, train_labels, cfg.seed ^ 0x51a7eull, epoch, &order);
-    urg::MinibatchConfig mcfg;
-    mcfg.batch_size = bs;
-    mcfg.fanout = cfg.fanout;
-    mcfg.hops = cfg.maga_layers;
-    mcfg.seed = urg::MixSeed(cfg.seed ^ 0x51a7eull, epoch);
-    double epoch_loss = 0.0;
-    double grad_norm = 0.0;
-    for (int b = 0; b < num_batches; ++b) {
-      opt.ZeroGradients();
-      const int begin = b * bs;
-      const int end = std::min(num_train, begin + bs);
-      seeds.clear();
-      seed_labels.clear();
-      for (int i = begin; i < end; ++i) {
-        seeds.push_back(order[i].first);
-        seed_labels.push_back(order[i].second);
-      }
-      const urg::SampledSubgraph sg = urg::SampleKHop(view, seeds, mcfg);
-      const CmsfInputs inputs = SubgraphInputs(urg, sg);
-      const CmsfModel::FrozenAssignment fslice = SliceFrozen(frozen, sg.nodes);
-      auto fwd = model->Forward(inputs, &fslice);
-      ag::VarPtr inclusion;
-      ag::VarPtr slave_logits = model->SlaveLogits(fwd, &inclusion);
-      const Tensor labels = MakeLabelTensor(seed_labels);
-      const Tensor weights = BatchWeights(seed_labels, pos_w);
-      ag::VarPtr loss = ag::BceWithLogits(
-          ag::GatherRows(slave_logits, SeedRows(sg.num_seeds)), labels,
-          &weights);
-      // PU rank loss over the clusters this batch actually populates; the
-      // rest have all-zero (empty) cluster representations, so ranking
-      // their inclusion scores would only inject noise.
-      std::vector<char> present(cfg.num_clusters, 0);
-      for (int h : fslice.hard) present[h] = 1;
-      std::vector<int> positive, unlabeled;
-      for (int k = 0; k < cfg.num_clusters; ++k) {
-        if (!present[k]) continue;
-        (frozen.pseudo_labels[k] == 1 ? positive : unlabeled).push_back(k);
-      }
-      if (!positive.empty() && !unlabeled.empty()) {
-        ag::VarPtr loss_p = ag::PuRankLoss(inclusion, positive, unlabeled);
-        loss = ag::Add(
-            loss, ag::ScalarMul(loss_p, static_cast<float>(cfg.lambda)));
-      }
-      last_loss = loss->value.at(0, 0);
-      epoch_loss += last_loss;
-      ag::Backward(loss);
-      if (obs::MetricsLogEnabled()) {
-        grad_norm = ag::GlobalGradNorm(opt.params());
-      }
-      opt.Step();
-    }
-    const double lr = opt.learning_rate();
-    opt.DecayLearningRate(cfg.lr_decay_per_epoch);
-    result.epoch_seconds.push_back(epoch_timer.Seconds());
-    obs::MetricsRecord("epoch")
-        .Str("stage", "slave")
-        .Int("epoch", epoch)
-        .Int("batches", num_batches)
-        .Num("loss", epoch_loss / num_batches)
-        .Num("grad_norm", grad_norm)
-        .Num("lr", lr)
-        .Num("seconds", result.epoch_seconds.back())
-        .Emit();
-  }
-  result.seconds_per_epoch =
-      cfg.slave_epochs > 0
-          ? std::accumulate(result.epoch_seconds.begin(),
-                            result.epoch_seconds.end(), 0.0) /
-                cfg.slave_epochs
-          : 0.0;
-  result.final_loss = last_loss;
-  return result;
-}
-
-std::vector<float> PredictCmsf(const CmsfModel& model,
-                               const CmsfInputs& inputs,
+std::vector<float> PredictCmsf(const CmsfModel& model, const BatchGraph& graph,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids) {
   obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
   const CmsfConfig& cfg = model.config();
   const bool use_slave =
       cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
-  auto fwd = model.Forward(inputs, use_slave ? frozen : nullptr);
-  ag::VarPtr logits =
-      use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
-  std::vector<float> out(eval_ids.size());
-  for (size_t i = 0; i < eval_ids.size(); ++i) {
-    const float z = logits->value.at(eval_ids[i], 0);
-    out[i] = 1.0f / (1.0f + std::exp(-z));
-  }
-  return out;
+  return ExactScores(
+      graph, cfg.maga_layers, eval_ids, [&](const Batch& batch) {
+        CmsfModel::FrozenAssignment slice;
+        const auto fwd = model.Forward(
+            batch.inputs,
+            use_slave ? FrozenFor(*frozen, batch, &slice) : nullptr);
+        return use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
+      });
 }
 
-std::vector<float> PredictCmsfMinibatch(
-    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
-    const CmsfModel::FrozenAssignment* frozen,
-    const std::vector<int>& eval_ids) {
-  obs::SpanGuard span("inference", obs::SpanLevel::kCoarse);
-  const CmsfConfig& cfg = model.config();
-  const bool use_slave =
-      cfg.use_hierarchy && cfg.use_gate && frozen != nullptr;
-  const urg::NeighborView view(urg);
-  urg::MinibatchConfig mcfg;
-  mcfg.fanout = 0;  // Exact trunk outputs for the chunk's seed rows.
-  mcfg.hops = cfg.maga_layers;
-  constexpr size_t kChunk = 64;
-  std::vector<float> out(eval_ids.size());
-  for (size_t begin = 0; begin < eval_ids.size(); begin += kChunk) {
-    const size_t end = std::min(eval_ids.size(), begin + kChunk);
-    const std::vector<int> chunk(eval_ids.begin() + begin,
-                                 eval_ids.begin() + end);
-    const urg::SampledSubgraph sg = urg::SampleKHop(view, chunk, mcfg);
-    const CmsfInputs inputs = SubgraphInputs(urg, sg);
-    CmsfModel::FrozenAssignment fslice;
-    if (use_slave) fslice = SliceFrozen(*frozen, sg.nodes);
-    auto fwd = model.Forward(inputs, use_slave ? &fslice : nullptr);
-    ag::VarPtr logits =
-        use_slave ? model.SlaveLogits(fwd, nullptr) : fwd.master_logits;
-    for (size_t i = begin; i < end; ++i) {
-      const float z = logits->value.at(static_cast<int>(i - begin), 0);
-      out[i] = 1.0f / (1.0f + std::exp(-z));
-    }
-  }
-  return out;
+std::vector<float> PredictCmsf(const CmsfModel& model,
+                               const CmsfInputs& inputs,
+                               const CmsfModel::FrozenAssignment* frozen,
+                               const std::vector<int>& eval_ids) {
+  return PredictCmsf(model, BatchGraph{&inputs, nullptr}, frozen, eval_ids);
 }
 
 }  // namespace uv::core

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/cmsf_config.h"
+#include "core/train_loop.h"
 #include "nn/gat.h"
 #include "nn/graph_context.h"
 #include "nn/gscm.h"
@@ -13,16 +14,6 @@
 #include "urg/urban_region_graph.h"
 
 namespace uv::core {
-
-// Constant model inputs derived once per URG: the two feature modalities
-// and the shared edge-index structures.
-struct CmsfInputs {
-  ag::VarPtr poi;    // (N x d_poi) constant.
-  ag::VarPtr image;  // (N x d_img) constant.
-  nn::GraphContext ctx;
-
-  static CmsfInputs FromUrg(const urg::UrbanRegionGraph& urg);
-};
 
 // The Contextual Master-Slave Framework (paper Section V): a hierarchical
 // GNN master model (MAGA + GSCM + MLP classifier) trained in stage one, and
@@ -94,73 +85,56 @@ class CmsfModel {
 };
 
 // Stage-one training (Algorithm 1): optimizes the master model with BCE on
-// the labeled training regions and returns the frozen assignment + pseudo
-// labels used by stage two. Also reports mean seconds per epoch.
-struct MasterTrainResult {
+// the labeled training regions of each batch of `graph`, then freezes the
+// assignment and derives the pseudo labels stage two uses. The freeze is an
+// exact forward over every region: always on the whole graph (one forward),
+// and on a sampled graph only when the gate consumes it, since the sweep
+// touches every region.
+struct MasterTrainResult : EpochStats {
   CmsfModel::FrozenAssignment frozen;
-  double seconds_per_epoch = 0.0;
-  double final_loss = 0.0;
-  // Monotonic wall time of every epoch, in order; seconds_per_epoch is the
-  // mean of these. Kept per epoch so callers can report p50/p95.
-  std::vector<double> epoch_seconds;
 };
+MasterTrainResult TrainMaster(CmsfModel* model, const BatchGraph& graph,
+                              const std::vector<int>& train_ids,
+                              const std::vector<int>& train_labels);
+// Whole-graph stage one over resident inputs.
 MasterTrainResult TrainMaster(CmsfModel* model, const CmsfInputs& inputs,
                               const std::vector<int>& train_ids,
                               const std::vector<int>& train_labels);
-
-// Minibatch stage-one training (CmsfConfig::batch_size > 0): every step
-// samples the 2-hop neighborhood of a train-id batch, gathers its features
-// through the URG (feature store at paper scale), and optimizes the master
-// loss on the seed rows. The returned frozen assignment is computed EXACTLY
-// over all regions with fanout-unlimited chunks, so stage two sees the same
-// kind of membership snapshot as full-graph training.
+// Sampled stage one (CmsfConfig::batch_size > 0): every step samples the
+// k-hop neighborhood of a train-id batch and gathers its features through
+// the URG (feature store at paper scale).
 MasterTrainResult TrainMasterMinibatch(CmsfModel* model,
                                        const urg::UrbanRegionGraph& urg,
                                        const std::vector<int>& train_ids,
                                        const std::vector<int>& train_labels);
 
 // Stage-two training (Algorithm 2): optimizes theta_2 with the joint loss
-// L'_c + lambda * L_p. No-op when the gate is disabled.
-struct SlaveTrainResult {
-  double seconds_per_epoch = 0.0;
-  double final_loss = 0.0;
-  std::vector<double> epoch_seconds;  // As in MasterTrainResult.
-};
+// L'_c + lambda * L_p, the GSCM membership pinned to the frozen assignment.
+// A sampled batch pins its subgraph nodes' frozen rows, so cluster
+// representations (and the PU rank loss on their inclusion scores)
+// aggregate over the batch's regions only: the minibatch approximation of
+// eq. 10/18. No-op when the gate is disabled.
+using SlaveTrainResult = EpochStats;
+SlaveTrainResult TrainSlave(CmsfModel* model, const BatchGraph& graph,
+                            const CmsfModel::FrozenAssignment& frozen,
+                            const std::vector<int>& train_ids,
+                            const std::vector<int>& train_labels);
 SlaveTrainResult TrainSlave(CmsfModel* model, const CmsfInputs& inputs,
                             const CmsfModel::FrozenAssignment& frozen,
                             const std::vector<int>& train_ids,
                             const std::vector<int>& train_labels);
 
-// Minibatch stage-two training: each batch pins the GSCM membership to the
-// frozen assignment rows of its subgraph nodes. Cluster representations
-// (and the PU rank loss on their inclusion scores) aggregate over the
-// batch's regions only — the minibatch approximation of eq. 10/18.
-SlaveTrainResult TrainSlaveMinibatch(CmsfModel* model,
-                                     const urg::UrbanRegionGraph& urg,
-                                     const CmsfModel::FrozenAssignment& frozen,
-                                     const std::vector<int>& train_ids,
-                                     const std::vector<int>& train_labels);
-
-// Per-sample BCE weights implementing CmsfConfig::pos_weight (shared by the
-// baselines so class balancing is uniform across methods).
-Tensor MakeBceWeights(const std::vector<int>& labels, double pos_weight);
-// Labels as an (n x 1) float tensor.
-Tensor MakeLabelTensor(const std::vector<int>& labels);
-
 // Inference (Section V-C): probabilities for eval_ids using the slave path
-// when enabled, the master path otherwise.
+// when enabled, the master path otherwise. Exact on either kind of graph
+// (ForEachExactBatch); a sampled chunk's slave path reads the chunk's
+// frozen membership rows.
+std::vector<float> PredictCmsf(const CmsfModel& model, const BatchGraph& graph,
+                               const CmsfModel::FrozenAssignment* frozen,
+                               const std::vector<int>& eval_ids);
 std::vector<float> PredictCmsf(const CmsfModel& model,
                                const CmsfInputs& inputs,
                                const CmsfModel::FrozenAssignment* frozen,
                                const std::vector<int>& eval_ids);
-
-// Minibatch inference: scores eval_ids in fanout-unlimited 2-hop chunks, so
-// trunk outputs (and master logits) are exact; the slave path uses the
-// chunk's frozen membership rows. O(chunk * deg^2) memory per chunk.
-std::vector<float> PredictCmsfMinibatch(
-    const CmsfModel& model, const urg::UrbanRegionGraph& urg,
-    const CmsfModel::FrozenAssignment* frozen,
-    const std::vector<int>& eval_ids);
 
 }  // namespace uv::core
 

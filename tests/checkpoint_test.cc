@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -407,6 +409,57 @@ TEST_F(CheckpointTest, LoadedDetectorCanSaveAgainIdentically) {
                                   std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes_a, bytes_b);
   std::remove(again.c_str());
+}
+
+TEST_F(CheckpointTest, RejectsCorruptFrozenAssignment) {
+  // The frozen assignment rides as the last three tensors: soft B (N x k),
+  // hard B~ (1 x N) and pseudo labels (1 x k). Re-saving a mangled copy
+  // through the io layer yields a well-formed file, so LoadModel itself
+  // must refuse it.
+  auto ck = io::LoadCheckpoint(*path_);
+  ASSERT_TRUE(ck.ok()) << ck.status().message();
+  const io::Checkpoint good = std::move(ck).value();
+  const size_t soft = good.tensors.size() - 3;
+  const size_t hard = soft + 1;
+  const size_t pseudo = soft + 2;
+  ASSERT_EQ(good.tensors[hard].cols(), urg_->num_regions());
+  const std::string tmp = ::testing::TempDir() + "/uvck_frozen.bin";
+  const auto loads = [&](const io::Checkpoint& mangled) {
+    EXPECT_TRUE(io::SaveCheckpoint(tmp, mangled).ok());
+    CmsfDetector loaded(FastConfig());
+    return loaded.LoadModel(*urg_, tmp).ok();
+  };
+  EXPECT_TRUE(loads(good));
+
+  using Mutation = std::function<void(io::Checkpoint*)>;
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"cluster id past k",
+       [&](io::Checkpoint* c) { c->tensors[hard].at(0, 5) = 1e6f; }},
+      {"negative cluster id",
+       [&](io::Checkpoint* c) { c->tensors[hard].at(0, 0) = -1.0f; }},
+      {"fractional cluster id",
+       [&](io::Checkpoint* c) { c->tensors[hard].at(0, 1) = 0.5f; }},
+      {"NaN cluster id",
+       [&](io::Checkpoint* c) { c->tensors[hard].at(0, 2) = std::nanf(""); }},
+      {"pseudo label not 0/1",
+       [&](io::Checkpoint* c) { c->tensors[pseudo].at(0, 0) = 2.0f; }},
+      {"hard row too short",
+       [&](io::Checkpoint* c) { c->tensors[hard] = Tensor(1, 3); }},
+      {"soft rows mismatch",
+       [&](io::Checkpoint* c) {
+         c->tensors[soft] = Tensor(3, c->tensors[soft].cols());
+       }},
+      {"pseudo width mismatch",
+       [&](io::Checkpoint* c) { c->tensors[pseudo] = Tensor(1, 3); }},
+      {"only soft empty",
+       [&](io::Checkpoint* c) { c->tensors[soft] = Tensor(); }},
+  };
+  for (const auto& [what, mutate] : mutations) {
+    io::Checkpoint mangled = good;
+    mutate(&mangled);
+    EXPECT_FALSE(loads(mangled)) << what;
+  }
+  std::remove(tmp.c_str());
 }
 
 }  // namespace

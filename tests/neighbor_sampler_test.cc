@@ -338,12 +338,39 @@ TEST(ParityTest, MasterPredictionsExactWithoutHierarchy) {
   std::vector<int> eval_ids;
   for (int i = 0; i < urg.num_regions(); i += 7) eval_ids.push_back(i);
   const auto full = core::PredictCmsf(model, inputs, nullptr, eval_ids);
-  const auto chunked =
-      core::PredictCmsfMinibatch(model, urg, nullptr, eval_ids);
+  const auto chunked = core::PredictCmsf(
+      model, core::BatchGraph{nullptr, &urg}, nullptr, eval_ids);
   ASSERT_EQ(full.size(), chunked.size());
   for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_NEAR(full[i], chunked[i], 1e-6) << "eval id " << eval_ids[i];
+    EXPECT_EQ(full[i], chunked[i]) << "eval id " << eval_ids[i];
   }
+}
+
+// The sampled stage one freezes the assignment through exact fanout-0
+// chunks; its rows must equal a whole-graph forward of the trained model.
+TEST(ParityTest, MinibatchFreezeEqualsWholeGraphForward) {
+  auto city = TinyCity();
+  const UrbanRegionGraph urg = Dense(city);
+  core::CmsfConfig cfg;
+  cfg.master_epochs = 2;
+  cfg.batch_size = 64;
+  cfg.fanout = 4;
+  cfg.num_clusters = 10;
+  ASSERT_TRUE(cfg.use_hierarchy && cfg.use_gate);
+  Rng rng(3);
+  core::CmsfModel model(cfg, urg.PoiDim(), urg.ImageDim(), &rng);
+  const std::vector<int> ids = urg.LabeledIds();
+  std::vector<int> labels(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) labels[i] = urg.labels[ids[i]];
+  const core::MasterTrainResult trained =
+      core::TrainMasterMinibatch(&model, urg, ids, labels);
+
+  const auto fwd = model.Forward(core::CmsfInputs::FromUrg(urg), nullptr);
+  const Tensor& soft = fwd.assignment->value;
+  ASSERT_TRUE(trained.frozen.soft.SameShape(soft));
+  EXPECT_EQ(0, std::memcmp(trained.frozen.soft.data(), soft.data(),
+                           sizeof(float) * soft.size()));
+  EXPECT_EQ(trained.frozen.hard, fwd.hard_assignment);
 }
 
 TEST(ParityTest, FullAndMinibatchGcnMetricsMatch) {
