@@ -63,7 +63,7 @@ struct BenchConfig {
   }
 
   // Environment first, then CLI flags override. Unrecognized arguments are
-  // left alone (the google-benchmark binaries mix in their own flags).
+  // left alone (bench_suite parses its own mode flags).
   static BenchConfig FromArgs(int argc, char** argv) {
     BenchConfig config = FromEnv();
     auto value_of = [&](int* i, const char* flag) -> const char* {

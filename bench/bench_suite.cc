@@ -30,6 +30,10 @@
 #include "infer/engine.h"
 #include "infer/server.h"
 #include "nn/graph_context.h"
+#include "nn/gscm.h"
+#include "nn/linear.h"
+#include "nn/maga.h"
+#include "nn/ms_gate.h"
 #include "obs/quality.h"
 #include "tensor/tensor_ops.h"
 #include "urg/neighbor_sampler.h"
@@ -53,9 +57,9 @@ uv::nn::GraphContext GridContext(int side) {
   return uv::nn::GraphContext::FromCsr(csr);
 }
 
-// The micro suite: one entry per hot kernel family. Sizes are chosen so a
-// repeat lands in the 10-100 ms band on one core — long enough to swamp
-// timer noise, short enough that CI's warmup + 5 repeats x 12 benchmarks
+// The micro suite: one entry per hot kernel family and per model layer.
+// Sizes keep a repeat between a fraction of a millisecond and a few tens
+// of milliseconds on one core, so CI's warmup + 5 repeats of every entry
 // stays under a minute.
 void RunMicroSuite(uv::obs::Report* report) {
   {
@@ -189,6 +193,65 @@ void RunMicroSuite(uv::obs::Report* report) {
       auto loss = uv::ag::MeanAll(uv::ag::Mul(agg, agg));
       uv::ag::Backward(loss);
       (void)w->grad.data();
+    });
+  }
+  // Model layers and URG construction, the per-epoch building blocks of
+  // CMSF. The two-point pairs (grid32/grid64, 1024/4096) check the linear
+  // cost in |V| and |E| of the paper's complexity analysis (Section V-D,
+  // eq. 25-28): 4x the regions should cost about 4x the time.
+  for (const int side : {32, 64}) {
+    const int n = side * side;
+    auto ctx = GridContext(side);
+    uv::Rng rng(1);
+    uv::nn::MagaLayer layer(64, 128, 64, 2, uv::nn::AggKind::kAttention, &rng);
+    auto p = uv::ag::MakeConst(RandomTensor(n, 64, 2));
+    auto i = uv::ag::MakeConst(RandomTensor(n, 128, 3));
+    report->RunTimed("maga_forward_grid" + std::to_string(side), [&] {
+      auto out = layer.Forward(p, i, ctx);
+      (void)out.p->value.data();
+    });
+  }
+  for (const int n : {1024, 4096}) {
+    uv::Rng rng(4);
+    uv::nn::Gscm::Options options;
+    options.in_dim = 128;
+    options.num_clusters = 50;
+    uv::nn::Gscm gscm(options, &rng);
+    auto x = uv::ag::MakeConst(RandomTensor(n, 128, 5));
+    report->RunTimed("gscm_forward_" + std::to_string(n), [&] {
+      auto out = gscm.Forward(x);
+      (void)out.region_repr->value.data();
+    });
+  }
+  {
+    const int n = 2048;
+    uv::Rng rng(6);
+    uv::nn::MsGate::Options options;
+    options.num_clusters = 50;
+    options.cluster_repr_dim = 128;
+    options.context_dim = 16;
+    options.classifier_in = 128;
+    options.classifier_hidden = 32;
+    uv::nn::MsGate gate(options, &rng);
+    uv::nn::Mlp master(128, 32, 1, &rng);
+    auto x = uv::ag::MakeConst(RandomTensor(n, 128, 7));
+    auto b = uv::ag::MakeConst(uv::RowSoftmax(RandomTensor(n, 50, 8), 0.1f));
+    auto h = uv::ag::MakeConst(RandomTensor(50, 128, 9));
+    report->RunTimed("ms_gate_forward_2048", [&] {
+      auto inclusion = gate.EstimateInclusion(h);
+      auto logits = gate.Forward(x, b, inclusion, master);
+      (void)logits->value.data();
+    });
+  }
+  {
+    auto config = uv::synth::ShenzhenLike(0.005, 11);
+    config.generate_images = false;
+    const uv::synth::City city = uv::synth::GenerateCity(config);
+    report->RunTimed("urg_build_shenzhen_0005", [&] {
+      auto urg = uv::urg::BuildUrg(city, uv::urg::UrgOptions{});
+    });
+    report->RunTimed("city_generate_shenzhen_0005", [&] {
+      auto generated = uv::synth::GenerateCity(config);
     });
   }
 }

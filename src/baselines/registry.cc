@@ -1,7 +1,6 @@
 #include "baselines/registry.h"
 
-#include "baselines/gat_baseline.h"
-#include "baselines/gcn_baseline.h"
+#include "baselines/graph_baseline.h"
 #include "baselines/imgagn_baseline.h"
 #include "baselines/mlp_baseline.h"
 #include "baselines/mmre_baseline.h"
@@ -33,8 +32,8 @@ std::unique_ptr<eval::Detector> MakeDetector(
     options.fanout = mb.fanout;
   }
   if (name == "MLP") return std::make_unique<MlpBaseline>(options);
-  if (name == "GCN") return std::make_unique<GcnBaseline>(options);
-  if (name == "GAT") return std::make_unique<GatBaseline>(options);
+  if (name == "GCN") return MakeGcnBaseline(options);
+  if (name == "GAT") return MakeGatBaseline(options);
   if (name == "MMRE") return std::make_unique<MmreBaseline>(options);
   if (name == "UVLens") return std::make_unique<UvLensBaseline>(options);
   if (name == "MUVFCN") return std::make_unique<MuvfcnBaseline>(options);
@@ -78,11 +77,8 @@ std::unique_ptr<infer::Engine> MakeEngine(const eval::Detector& detector,
         cmsf->model()->config().use_hierarchy ? &cmsf->frozen() : nullptr;
     return infer::MakeCmsfEngine(*cmsf->model(), frozen, urg);
   }
-  if (const auto* gcn = dynamic_cast<const GcnBaseline*>(&detector)) {
-    return gcn->MakeEngine(urg);
-  }
-  if (const auto* gat = dynamic_cast<const GatBaseline*>(&detector)) {
-    return gat->MakeEngine(urg);
+  if (const auto* graph = dynamic_cast<const GraphBaseline*>(&detector)) {
+    return graph->MakeEngine(urg);
   }
   return nullptr;
 }

@@ -155,42 +155,49 @@ Status CmsfDetector::LoadModel(const urg::UrbanRegionGraph& urg,
   const io::UrgFingerprint fingerprint = io::UrgFingerprint::FromUrg(urg);
   Status valid = io::ValidateCheckpoint(ck, name_, fingerprint);
   if (!valid.ok()) return valid;
-  auto config = DecodeCmsfConfig(ck.config);
-  if (!config.ok()) return config.status();
-  config_ = config.value();
-  fingerprint_ = fingerprint;
+  auto decoded = DecodeCmsfConfig(ck.config);
+  if (!decoded.ok()) return decoded.status();
+  const CmsfConfig& config = decoded.value();
   std::vector<Tensor>& tensors = ck.tensors;
 
-  Rng rng(config_.seed);
-  ResetInputs(urg);
-  model_ = std::make_unique<CmsfModel>(config_, urg.PoiDim(), urg.ImageDim(),
-                                       &rng);
-  auto params = model_->AllParams();
+  // Decode into locals and commit only after every check has passed, so a
+  // rejected load leaves the detector scoring exactly as before.
+  Rng rng(config.seed);
+  auto model = std::make_unique<CmsfModel>(config, urg.PoiDim(),
+                                           urg.ImageDim(), &rng);
+  auto params = model->AllParams();
   if (tensors.size() != params.size() + 3) {
     return Status::InvalidArgument("checkpoint layout mismatch");
   }
-  Status frozen = ValidateFrozen(tensors[params.size()],
-                                 tensors[params.size() + 1],
-                                 tensors[params.size() + 2],
-                                 urg.num_regions(), config_.num_clusters);
-  if (!frozen.ok()) return frozen;
+  Status frozen_valid = ValidateFrozen(tensors[params.size()],
+                                       tensors[params.size() + 1],
+                                       tensors[params.size() + 2],
+                                       urg.num_regions(), config.num_clusters);
+  if (!frozen_valid.ok()) return frozen_valid;
   for (size_t i = 0; i < params.size(); ++i) {
     if (!tensors[i].SameShape(params[i]->value)) {
       return Status::InvalidArgument("parameter shape mismatch");
     }
     params[i]->value = std::move(tensors[i]);
   }
-  frozen_.soft = std::move(tensors[params.size()]);
+  CmsfModel::FrozenAssignment frozen;
+  frozen.soft = std::move(tensors[params.size()]);
   const Tensor& hard = tensors[params.size() + 1];
-  frozen_.hard.resize(hard.cols());
+  frozen.hard.resize(hard.cols());
   for (int i = 0; i < hard.cols(); ++i) {
-    frozen_.hard[i] = static_cast<int>(hard.at(0, i));
+    frozen.hard[i] = static_cast<int>(hard.at(0, i));
   }
   const Tensor& pseudo = tensors[params.size() + 2];
-  frozen_.pseudo_labels.resize(pseudo.cols());
+  frozen.pseudo_labels.resize(pseudo.cols());
   for (int i = 0; i < pseudo.cols(); ++i) {
-    frozen_.pseudo_labels[i] = static_cast<int>(pseudo.at(0, i));
+    frozen.pseudo_labels[i] = static_cast<int>(pseudo.at(0, i));
   }
+
+  config_ = config;
+  fingerprint_ = fingerprint;
+  model_ = std::move(model);
+  frozen_ = std::move(frozen);
+  ResetInputs(urg);
   // Adopt the checkpoint's baseline verbatim (never recompute: the counts
   // must stay byte-identical across save -> load -> save). The training
   // ids/labels belong to whatever run produced the file, not this process.

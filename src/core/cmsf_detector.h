@@ -47,7 +47,7 @@ class CmsfDetector : public eval::Detector {
   Status SaveModel(const urg::UrbanRegionGraph& urg, const std::string& path);
   // Restores a saved checkpoint: validates version / model name / URG
   // fingerprint, adopts the checkpoint's config and quality baseline, and
-  // rebuilds the model.
+  // rebuilds the model. A rejected load leaves the detector unchanged.
   Status LoadModel(const urg::UrbanRegionGraph& urg, const std::string& path);
 
   // The training-time baseline for drift monitors. Built lazily by

@@ -137,7 +137,7 @@ class BenchmarkEntry {
  public:
   // Appends one timed repeat, stamped with the monotonic clock. Does not
   // snapshot registry counters — Report::RunTimed does that; external
-  // timings (google-benchmark captures, RunStats walls) use this directly.
+  // timings (RunStats walls) use this directly.
   void AddRepeat(double seconds);
 
   void AddMetric(const std::string& name, double value,

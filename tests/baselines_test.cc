@@ -23,6 +23,19 @@ class BaselinesTest : public ::testing::Test {
     for (int id : fold_->test_ids) test_labels_->push_back(urg_->labels[id]);
   }
 
+  // Every suite derived from this fixture re-runs SetUpTestSuite, so each
+  // must free what it built.
+  static void TearDownTestSuite() {
+    delete urg_;
+    delete fold_;
+    delete train_labels_;
+    delete test_labels_;
+    urg_ = nullptr;
+    fold_ = nullptr;
+    train_labels_ = nullptr;
+    test_labels_ = nullptr;
+  }
+
   static TrainOptions FastOptions(uint64_t seed = 1) {
     TrainOptions options;
     options.epochs = 15;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -424,12 +425,21 @@ TEST_F(CheckpointTest, RejectsCorruptFrozenAssignment) {
   const size_t pseudo = soft + 2;
   ASSERT_EQ(good.tensors[hard].cols(), urg_->num_regions());
   const std::string tmp = ::testing::TempDir() + "/uvck_frozen.bin";
-  const auto loads = [&](const io::Checkpoint& mangled) {
-    EXPECT_TRUE(io::SaveCheckpoint(tmp, mangled).ok());
-    CmsfDetector loaded(FastConfig());
-    return loaded.LoadModel(*urg_, tmp).ok();
-  };
-  EXPECT_TRUE(loads(good));
+  {
+    ASSERT_TRUE(io::SaveCheckpoint(tmp, good).ok());
+    CmsfDetector fresh(FastConfig());
+    EXPECT_TRUE(fresh.LoadModel(*urg_, tmp).ok());
+  }
+
+  // Every rejected load lands on a trained detector and must leave it
+  // scoring bit-for-bit as before, with the same frozen assignment.
+  CmsfDetector trained(FastConfig());
+  trained.Train(*urg_, fold_->train_ids, *train_labels_);
+  std::vector<int> all_ids(urg_->num_regions());
+  std::iota(all_ids.begin(), all_ids.end(), 0);
+  const std::vector<float> scores = trained.Score(*urg_, all_ids);
+  const CmsfModel::FrozenAssignment frozen = trained.frozen();
+  ASSERT_GT(frozen.soft.size(), 0);
 
   using Mutation = std::function<void(io::Checkpoint*)>;
   const std::vector<std::pair<const char*, Mutation>> mutations = {
@@ -453,11 +463,33 @@ TEST_F(CheckpointTest, RejectsCorruptFrozenAssignment) {
        [&](io::Checkpoint* c) { c->tensors[pseudo] = Tensor(1, 3); }},
       {"only soft empty",
        [&](io::Checkpoint* c) { c->tensors[soft] = Tensor(); }},
+      {"parameter shape mismatch",
+       [&](io::Checkpoint* c) {
+         c->tensors[0] = Tensor(c->tensors[0].rows() + 1,
+                                c->tensors[0].cols());
+       }},
+      {"one tensor missing",
+       [&](io::Checkpoint* c) { c->tensors.erase(c->tensors.begin()); }},
   };
   for (const auto& [what, mutate] : mutations) {
     io::Checkpoint mangled = good;
     mutate(&mangled);
-    EXPECT_FALSE(loads(mangled)) << what;
+    ASSERT_TRUE(io::SaveCheckpoint(tmp, mangled).ok()) << what;
+    EXPECT_FALSE(trained.LoadModel(*urg_, tmp).ok()) << what;
+    const std::vector<float> after = trained.Score(*urg_, all_ids);
+    ASSERT_EQ(after.size(), scores.size()) << what;
+    EXPECT_EQ(std::memcmp(after.data(), scores.data(),
+                          scores.size() * sizeof(float)),
+              0)
+        << what;
+    const CmsfModel::FrozenAssignment& now = trained.frozen();
+    ASSERT_TRUE(now.soft.SameShape(frozen.soft)) << what;
+    EXPECT_EQ(std::memcmp(now.soft.data(), frozen.soft.data(),
+                          frozen.soft.size() * sizeof(float)),
+              0)
+        << what;
+    EXPECT_EQ(now.hard, frozen.hard) << what;
+    EXPECT_EQ(now.pseudo_labels, frozen.pseudo_labels) << what;
   }
   std::remove(tmp.c_str());
 }
